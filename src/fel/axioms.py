@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import semantics, syntax
 from .evaltree import EvalTree, FALSE, Leaf, TRUE, UNDEF, node
-from .semantics import Logic, f_tilde_tree, memo, tree_and, tree_not, tree_or
+from .semantics import Logic, memo, sfe_tree, tree_and, tree_not, tree_or
 from .syntax import Expr, Var
 
 _VAR_NAMES = ("x", "y", "z", "u", "v", "w")
@@ -275,6 +275,10 @@ class Exhaustive:
     depth: int = 3
     max_instances: int = 2_000_000
 
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError(f"depth must be at least 1, got {self.depth}")
+
 
 @dataclass(frozen=True)
 class Random:
@@ -338,16 +342,12 @@ def _finish(logic: Logic, tree: EvalTree, has_u: bool, beta=None) -> EvalTree:
         return tree
     if name in ("mfel", "mfelu"):
         return memo(tree)
-    if name == "clfel2":
-        return memo(tree_or(f_tilde_tree(sorted(_labels(tree))), tree))
-    if name == "clfel":
-        if has_u:
+    if name in ("clfel2", "clfel", "sfel"):
+        if name == "clfel" and has_u:
             return UNDEF
-        return memo(tree_or(f_tilde_tree(sorted(_labels(tree))), tree))
-    if name == "sfel":
-        if beta is None:
+        if name != "sfel" or beta is None:
             beta = sorted(_labels(tree))
-        return memo(tree_or(f_tilde_tree(beta), tree))
+        return sfe_tree(beta, tree)
     raise ValueError(f"unknown logic {logic!r}")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import semantics, syntax
-from .evaltree import Leaf, Node, leaf_kinds
+from .evaltree import Leaf, Node
 from .syntax import FALSE, TRUE, UNDEF, Atom, FullAnd, FullOr, Not, mk_and, mk_not, mk_or
 
 
@@ -244,19 +244,21 @@ def u_sigma(sigma) -> syntax.Expr:
     return e
 
 
-def _all_u_labels(tree) -> list[str]:
-    """Path labels of an all-U perfect tree; error on any other tree."""
-    if isinstance(tree, Leaf):
-        if tree.kind != "U":
-            raise AssertionError("tree mixes U with other leaves")
-        return []
-    if not isinstance(tree, Node):
-        raise AssertionError("unexpected tree shape")
-    left = _all_u_labels(tree.left)
-    right = _all_u_labels(tree.right)
-    if left != right:
-        raise AssertionError("paths of the undefined tree disagree")
-    return [tree.atom] + left
+def all_u_labels(tree) -> list[str]:
+    """Path labels of an all-U perfect tree; error on any other tree.
+
+    Equal subtrees are one object, so the tree is perfect and all-U exactly
+    when every node's children are the same object and the last leaf is U.
+    """
+    labels = []
+    while isinstance(tree, Node):
+        if tree.left is not tree.right:
+            raise AssertionError("paths of the undefined tree disagree")
+        labels.append(tree.atom)
+        tree = tree.left
+    if not isinstance(tree, Leaf) or tree.kind != "U":
+        raise AssertionError("tree mixes U with other leaves")
+    return labels
 
 
 def normalize_ffelu(p: syntax.Expr) -> syntax.Expr:
@@ -269,9 +271,7 @@ def normalize_ffelu(p: syntax.Expr) -> syntax.Expr:
     if not syntax.contains_u(p):
         return normalize_ffel(p)
     tree = semantics.fe_u(p)
-    if leaf_kinds(tree) != frozenset(("U",)):
-        raise AssertionError("U-containing expression with a non-U leaf")
-    result = u_sigma(_all_u_labels(tree))
+    result = u_sigma(all_u_labels(tree))
     if semantics.fe_u(result) != tree:
         raise AssertionError("normal form changed the evaluation tree")
     return result

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import semantics, syntax
-from .evaltree import Leaf, Node, leaf_kinds
-from .fnf import u_sigma
+from .evaltree import Leaf
+from .fnf import all_u_labels, u_sigma
 from .syntax import Expr, FALSE, TRUE, mk_and, mk_atom, mk_not, mk_or
 
 
@@ -100,30 +100,16 @@ def normalize_mfel(p: Expr) -> SigmaNormalForm:
     return SigmaNormalForm(syntax.str_of(p), body)
 
 
-def _all_u_labels(tree) -> list[str]:
-    if isinstance(tree, Leaf):
-        if tree.kind != "U":
-            raise AssertionError("tree mixes U with other leaves")
-        return []
-    left = _all_u_labels(tree.left)
-    right = _all_u_labels(tree.right)
-    if left != right:
-        raise AssertionError("paths of the undefined tree disagree")
-    return [tree.atom] + left
-
-
 def normalize_mfelu(p: Expr) -> SigmaNormalForm:
     """Memorising normal form over three truth values."""
     if not syntax.contains_u(p):
         return normalize_mfel(p)
     tree = semantics.mfe_u(p)
-    if leaf_kinds(tree) != frozenset(("U",)):
-        raise AssertionError("U-containing expression with a non-U leaf")
-    sigma = "".join(_all_u_labels(tree))
-    body = u_sigma(sigma)
+    labels = all_u_labels(tree)
+    body = u_sigma(labels)
     if semantics.mfe_u(body) != tree:
         raise AssertionError("normal form changed the evaluation tree")
-    return SigmaNormalForm(sigma, body)
+    return SigmaNormalForm("".join(labels), body)
 
 
 def normalize_clfel2(p: Expr) -> SigmaNormalForm:
@@ -182,6 +168,8 @@ _ENUM_BOUND = 4
 def enumerate_sigma_nf(sigma) -> Iterator[SigmaNormalForm]:
     """All 2^(2^|sigma|) normal forms over sigma, without duplicates."""
     atoms = syntax.atom_seq(sigma)
+    if len(set(atoms)) != len(atoms):
+        raise ValueError(f"alphabet {sigma!r} repeats an atom")
     if len(atoms) > _ENUM_BOUND:
         raise ValueError(f"alphabet longer than the bound of {_ENUM_BOUND}")
     name = "".join(atoms)

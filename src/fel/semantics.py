@@ -173,12 +173,16 @@ def f_tilde_tree(beta) -> EvalTree:
     return t
 
 
+def sfe_tree(beta, x: EvalTree) -> EvalTree:
+    """The static tree over beta of a full evaluation tree x."""
+    return memo(tree_or(f_tilde_tree(beta), x))
+
+
 def clfe(p: syntax.Expr) -> EvalTree:
     """Commutative memorising evaluation over the sorted alphabet of p."""
     if syntax.contains_u(p):
         raise ValueError("clfe rejects U; use clfe_u")
-    beta = _sorted_alphabet(p)
-    return memo(tree_or(f_tilde_tree(beta), fe(p)))
+    return sfe(_sorted_alphabet(p), p)
 
 
 def clfe_u(p: syntax.Expr) -> EvalTree:
@@ -197,7 +201,7 @@ def sfe(beta, p: syntax.Expr) -> EvalTree:
     missing = sorted(syntax.alphabet(p) - set(atoms))
     if missing:
         raise ValueError(f"atoms outside the alphabet: {', '.join(missing)}")
-    return memo(tree_or(f_tilde_tree(atoms), fe(p)))
+    return sfe_tree(atoms, fe(p))
 
 
 @dataclass(frozen=True)

@@ -9,182 +9,111 @@ are left-associative.  Atoms match [a-z][a-z0-9_]*.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+_set = object.__setattr__
 
 
 class Expr:
-    """Base class of all expression nodes."""
+    """Base class of all expression nodes.
+
+    Expressions are immutable and hash-consed: each class keeps a unique
+    table keyed by the tuple of its fields, and every construction goes
+    through Expr.__new__, which returns the one object with those fields.
+    Equal expressions are therefore the same object, and equality and
+    hashing are object identity, inherited from object.  Nothing may drop
+    an entry of a unique table while an expression built from it is live,
+    or two equal expressions would compare unequal.
+    """
+
+    __slots__ = ()
+    _table: dict[tuple, Expr]
+
+    def __init_subclass__(cls):
+        cls._table = {}
+
+    def __new__(cls, *fields):
+        e = cls._table.get(fields)
+        if e is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields")
+            e = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                _set(e, name, value)
+            cls._table[fields] = e
+        return e
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):
         return f"<expr {print_expr(self)}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Expr):
+    __slots__ = ("name",)
     name: str
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Atom) and self.name == other.name
+    def __new__(cls, name: str) -> Atom:
+        e = cls._table.get((name,))
+        if e is None:
+            if not _ATOM_RE.match(name):
+                raise ValueError(f"invalid atom name {name!r}")
+            e = super().__new__(cls, name)
+        return e
 
-    def __hash__(self):
-        return hash(("atom", self.name))
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class ConstT(Expr):
-    def __eq__(self, other):
-        return isinstance(other, ConstT)
-
-    def __hash__(self):
-        return hash("constT")
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ConstF(Expr):
-    def __eq__(self, other):
-        return isinstance(other, ConstF)
-
-    def __hash__(self):
-        return hash("constF")
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ConstU(Expr):
-    def __eq__(self, other):
-        return isinstance(other, ConstU)
-
-    def __hash__(self):
-        return hash("constU")
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(Expr):
+    __slots__ = ("operand",)
     operand: Expr
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Not) and self.operand == other.operand
 
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(("not", self.operand))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class FullAnd(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, FullAnd)
-            and self.left == other.left
-            and self.right == other.right
-        )
 
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(("and", self.left, self.right))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class FullOr(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, FullOr)
-            and self.left == other.left
-            and self.right == other.right
-        )
 
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(("or", self.left, self.right))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     """Metavariable of an open term (used by the axioms module only)."""
 
+    __slots__ = ("name",)
     name: str
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Var) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("var", self.name))
 
 
 TRUE = ConstT()
 FALSE = ConstF()
 UNDEF = ConstU()
 
-# Interning constructors.  Equal expressions built through these share
-# identity, which makes the structural __eq__ fast paths and the caches in
-# the other modules effective.  Plain constructors remain valid.
-_ATOMS: dict[str, Atom] = {}
-_NOTS: dict[Expr, Not] = {}
-_ANDS: dict[tuple, FullAnd] = {}
-_ORS: dict[tuple, FullOr] = {}
-
-_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-
-
-def mk_atom(name: str) -> Atom:
-    e = _ATOMS.get(name)
-    if e is None:
-        if not _ATOM_RE.match(name):
-            raise ValueError(f"invalid atom name {name!r}")
-        e = Atom(name)
-        _ATOMS[name] = e
-    return e
-
-
-def mk_not(operand: Expr) -> Not:
-    e = _NOTS.get(operand)
-    if e is None:
-        e = Not(operand)
-        _NOTS[operand] = e
-    return e
-
-
-def mk_and(left: Expr, right: Expr) -> FullAnd:
-    key = (left, right)
-    e = _ANDS.get(key)
-    if e is None:
-        e = FullAnd(left, right)
-        _ANDS[key] = e
-    return e
-
-
-def mk_or(left: Expr, right: Expr) -> FullOr:
-    key = (left, right)
-    e = _ORS.get(key)
-    if e is None:
-        e = FullOr(left, right)
-        _ORS[key] = e
-    return e
+mk_atom = Atom
+mk_not = Not
+mk_and = FullAnd
+mk_or = FullOr
 
 
 class ParseError(ValueError):

@@ -28,11 +28,12 @@ A, B = syntax.mk_atom("a"), syntax.mk_atom("b")
 def _clear_fel_caches():
     """Drop the global memo tables between heavy tests.
 
-    Evaluation trees compare by identity, so the tree unique table
-    evaltree._NODES is kept: clearing it while any tree is live would let
-    two equal trees compare unequal.  Expressions compare structurally, and
-    every computed cache is purely a speed/space tradeoff, so those are
-    safe to clear.
+    Evaluation trees and expressions are hash-consed and compare by
+    identity, so their unique tables (evaltree._NODES and the per-class
+    tables of the syntax module) are kept: clearing one while a tree or an
+    expression built from it is live would let two equal terms compare
+    unequal.  Every computed cache is purely a speed/space tradeoff, so
+    those are safe to clear.
     """
     import fel.axioms
     import fel.evaltree
@@ -49,9 +50,7 @@ def _clear_fel_caches():
         for name, val in vars(mod).items():
             if not name.startswith("_") or name in keep:
                 continue
-            if isinstance(val, dict) and (name.endswith("_CACHE") or name in
-                                          ("_READ_BACK", "_ATOMS",
-                                           "_NOTS", "_ANDS", "_ORS")):
+            if isinstance(val, dict) and (name.endswith("_CACHE") or name == "_READ_BACK"):
                 val.clear()
     gc.collect()
 

@@ -153,3 +153,15 @@ def test_translate_and_bridge():
     assert r.output.strip() == "ok"
     r = run("bridge-check", "U")
     assert r.exit_code == 2
+
+
+def test_enumerate_rejects_repeated_atom():
+    r = run("enumerate", "--sigma", "aa", "--count-only")
+    assert r.exit_code == 2
+    assert "repeats an atom" in r.output
+
+
+def test_axioms_rejects_depth_below_one():
+    r = run("axioms", "--set", "eqffel", "--exhaustive", "depth=0")
+    assert r.exit_code == 2
+    assert "depth must be at least 1" in r.output

@@ -17,6 +17,7 @@ from fel.normalforms import (
     permute_sigma_nf,
     t_sigma,
 )
+from fel import fnf
 from fel.fnf import u_sigma
 from fel.syntax import FALSE, TRUE, mk_atom
 
@@ -75,6 +76,15 @@ def test_normalize_mfelu_examples():
     assert nf.sigma == "" and nf.body is syntax.UNDEF
     # repeated atoms dedup in the memorised sigma
     assert normalize_mfelu(P("a & (a & U)")).sigma == "a"
+
+
+def test_undefined_normal_form_of_a_long_chain():
+    # 40 distinct atoms give an all-U tree with 2^40 paths but 41 distinct
+    # subtrees; the normalizers must not walk the paths.
+    atoms = [f"a{i}" for i in range(40)]
+    p = P(" & ".join(atoms) + " & U")
+    assert fnf.normalize_ffelu(p) is u_sigma(atoms)
+    assert normalize_mfelu(p) == SigmaNormalForm("".join(atoms), u_sigma(atoms))
 
 
 def test_normalize_clfel2_examples():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,3 +121,43 @@ def test_nnf_preserves_tree(e):
 def test_interning_gives_identity():
     assert parse("a & b") is parse("a & b")
     assert mk_atom("a") is mk_atom("a")
+    a, b = mk_atom("a"), mk_atom("b")
+    assert syntax.Atom("a") is a
+    assert syntax.FullAnd(a, b) is mk_and(a, b)
+    assert syntax.FullOr(a, b) is mk_or(a, b)
+    assert syntax.Not(a) is mk_not(a)
+    assert syntax.ConstT() is TRUE
+    assert syntax.ConstF() is FALSE
+    assert syntax.ConstU() is UNDEF
+    assert syntax.Var("x") is syntax.Var("x")
+    assert syntax.Var("a") is not a
+    with pytest.raises(ValueError):
+        syntax.Atom("Bad")
+    e = parse("!a & (b | U)")
+    with pytest.raises(AttributeError):
+        e.left = a
+    with pytest.raises(AttributeError):
+        a.name = "b"
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert pickle.loads(pickle.dumps(syntax.Var("x"))) is syntax.Var("x")
+
+
+def _rebuild(e):
+    """A structural copy of e made by direct class construction."""
+    if isinstance(e, syntax.Atom):
+        return syntax.Atom(e.name)
+    if isinstance(e, syntax.Not):
+        return syntax.Not(_rebuild(e.operand))
+    if isinstance(e, (syntax.FullAnd, syntax.FullOr)):
+        return type(e)(_rebuild(e.left), _rebuild(e.right))
+    return type(e)()
+
+
+@given(exprs(), exprs())
+def test_equality_is_structural_identity(e1, e2):
+    assert (e1 == e2) == (print_expr(e1, True) == print_expr(e2, True))
+    assert (e1 == e2) == (e1 is e2)
+    assert _rebuild(e1) is e1
+    assert parse(print_expr(e2, True)) is e2
