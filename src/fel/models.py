@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -162,8 +163,10 @@ def _instances(eqs, size):
 def find_model(satisfy, violate: Equation | None, max_size: int,
                budget: float = 60.0) -> FindResult:
     """First model (smallest size, lexicographic cells) separating the sets."""
-    if max_size > 4:
-        raise ValueError("max_size is capped at 4")
+    if not 2 <= max_size <= 4:
+        raise ValueError(f"max_size must be between 2 and 4, got {max_size}")
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget must be a positive number of seconds, got {budget}")
     satisfy = list(satisfy)
     deadline = time.monotonic() + budget
     stats = SearchStats()

@@ -132,12 +132,16 @@ def normalize_clfelu(p: Expr) -> SigmaNormalForm:
 
 def permute_sigma_nf(nf: SigmaNormalForm, sigma_prime) -> SigmaNormalForm:
     """Reorder an h-nest to a permutation of its atom string by h-swaps."""
-    target = syntax.atom_seq(sigma_prime)
-    source = syntax.atom_seq(nf.sigma)
-    if sorted(target) != sorted(source) or len(set(target)) != len(target):
-        raise ValueError(f"{sigma_prime!r} is not a permutation of {nf.sigma!r}")
     if syntax.contains_u(nf.body):
         raise ValueError("cannot permute an undefined form")
+    target = syntax.atom_seq(sigma_prime)
+    source = []
+    e = nf.body
+    while not isinstance(e, (syntax.ConstT, syntax.ConstF)):
+        a, e, _ = _h_parts(e)
+        source.append(a)
+    if sorted(target) != sorted(source) or len(set(target)) != len(target):
+        raise ValueError(f"{sigma_prime!r} is not a permutation of {nf.sigma!r}")
 
     def go(body: Expr, want: tuple[str, ...]) -> Expr:
         if not want:

@@ -153,16 +153,115 @@ def memo(x: EvalTree) -> EvalTree:
     return r
 
 
+def perfect_tree(order, p: syntax.Expr) -> EvalTree:
+    """The perfect tree over the atom sequence order of a U-free p.
+
+    Every path reads each atom of order once, in that order, and ends in
+    the value of p under the values read: the Shannon expansion of p, a
+    quasi-reduced ordered decision diagram (Bryant, IEEE TC 1986).  Under
+    memorisation every path of fe(p) reads the same atoms, so mfe, clfe
+    and sfe are this tree over str_of(p), the sorted alphabet and beta.
+
+    It is built bottom-up over p: an atom is a literal tree, and & | ! are
+    applied level by level over the node() table.  The computed tables
+    live for one call; a tree's root determines its level, so the trees
+    alone are the keys.
+    """
+    atoms = syntax.atom_seq(order)
+    if len(set(atoms)) != len(atoms):
+        raise ValueError(f"alphabet {order!r} repeats an atom")
+    n = len(atoms)
+    # top[i] / bot[i]: the perfect tree over atoms[i:] with every leaf T / F.
+    top, bot = [TRUE] * (n + 1), [FALSE] * (n + 1)
+    for i in reversed(range(n)):
+        top[i] = node(atoms[i], top[i + 1], top[i + 1])
+        bot[i] = node(atoms[i], bot[i + 1], bot[i + 1])
+    level = {a: i for i, a in enumerate(atoms)}
+    nots: dict[EvalTree, EvalTree] = {}
+    ands: dict[tuple, EvalTree] = {}
+    ors: dict[tuple, EvalTree] = {}
+
+    # At level n every tree is a leaf, T or F, so a shortcut always applies.
+    def neg(x: EvalTree, i: int) -> EvalTree:
+        if x is top[i]:
+            return bot[i]
+        if x is bot[i]:
+            return top[i]
+        r = nots.get(x)
+        if r is None:
+            r = nots[x] = node(atoms[i], neg(x.left, i + 1), neg(x.right, i + 1))
+        return r
+
+    # apply(x, y, i, zero, one, table) is & with zero=bot, one=top and | with
+    # zero=top, one=bot: zero absorbs, one is the unit.
+    def apply(x: EvalTree, y: EvalTree, i: int, zero, one, table) -> EvalTree:
+        if x is y or x is zero[i] or y is one[i]:
+            return x
+        if y is zero[i] or x is one[i]:
+            return y
+        r = table.get((x, y))
+        if r is None:
+            j = i + 1
+            r = table[x, y] = node(
+                atoms[i],
+                apply(x.left, y.left, j, zero, one, table),
+                apply(x.right, y.right, j, zero, one, table),
+            )
+        return r
+
+    def literal(a: str) -> EvalTree:
+        k = level.get(a)
+        if k is None:
+            missing = sorted(syntax.alphabet(p) - level.keys())
+            raise ValueError(f"atoms outside the alphabet: {', '.join(missing)}")
+        t = node(a, top[k + 1], bot[k + 1])
+        for i in reversed(range(k)):
+            t = node(atoms[i], t, t)
+        return t
+
+    done: dict[syntax.Expr, EvalTree] = {}
+
+    def go(e: syntax.Expr) -> EvalTree:
+        t = done.get(e)
+        if t is None:
+            cls = type(e)
+            if cls is syntax.FullAnd:
+                t = apply(go(e.left), go(e.right), 0, bot, top, ands)
+            elif cls is syntax.FullOr:
+                t = apply(go(e.left), go(e.right), 0, top, bot, ors)
+            elif cls is syntax.Not:
+                t = neg(go(e.operand), 0)
+            elif cls is syntax.Atom:
+                t = literal(e.name)
+            elif cls is syntax.ConstT:
+                t = top[0]
+            elif cls is syntax.ConstF:
+                t = bot[0]
+            elif cls is syntax.ConstU:
+                raise ValueError("perfect_tree rejects U")
+            else:
+                raise TypeError(f"not a closed expression: {e!r}")
+            done[e] = t
+        return t
+
+    return go(p)
+
+
 def mfe(p: syntax.Expr) -> EvalTree:
-    return memo(fe(p))
+    """Memorising evaluation: memo(fe(p)), the perfect tree over str_of(p)."""
+    if syntax.contains_u(p):
+        raise ValueError("mfe rejects U; use mfe_u")
+    return perfect_tree(syntax.atoms_of(p), p)
 
 
 def mfe_u(p: syntax.Expr) -> EvalTree:
-    return memo(fe_u(p))
+    if syntax.contains_u(p):
+        return memo(fe_u(p))
+    return mfe(p)
 
 
-def _sorted_alphabet(p: syntax.Expr) -> str:
-    return "".join(sorted(syntax.alphabet(p)))
+def _sorted_alphabet(p: syntax.Expr) -> tuple[str, ...]:
+    return tuple(sorted(syntax.alphabet(p)))
 
 
 def f_tilde_tree(beta) -> EvalTree:
@@ -195,23 +294,17 @@ def sfe(beta, p: syntax.Expr) -> EvalTree:
     """Static evaluation: perfect tree over beta, alphabet(p) within beta."""
     if syntax.contains_u(p):
         raise ValueError("sfe rejects U")
-    atoms = syntax.atom_seq(beta)
-    if len(set(atoms)) != len(atoms):
-        raise ValueError(f"alphabet {beta!r} repeats an atom")
-    missing = sorted(syntax.alphabet(p) - set(atoms))
-    if missing:
-        raise ValueError(f"atoms outside the alphabet: {', '.join(missing)}")
-    return sfe_tree(atoms, fe(p))
+    return perfect_tree(beta, p)
 
 
 @dataclass(frozen=True)
 class Logic:
     name: str
-    beta: str | None = None
+    beta: tuple[str, ...] | None = None
 
     def __str__(self):
         if self.beta is not None:
-            return f"{self.name}({self.beta})"
+            return f"{self.name}({','.join(self.beta)})"
         return self.name
 
     @property
@@ -229,7 +322,7 @@ CLFEL = Logic("clfel")
 
 def SFEL(beta=None) -> Logic:
     if beta is not None:
-        beta = "".join(syntax.atom_seq(beta))
+        beta = syntax.atom_seq(beta)
     return Logic("sfel", beta)
 
 
@@ -284,7 +377,7 @@ def equiv(logic: Logic, p: syntax.Expr, q: syntax.Expr) -> EquivResult:
     """Decide the logic's congruence by comparing evaluation trees."""
     beta = None
     if logic.name == "sfel" and logic.beta is None:
-        beta = "".join(sorted(syntax.alphabet(p) | syntax.alphabet(q)))
+        beta = tuple(sorted(syntax.alphabet(p) | syntax.alphabet(q)))
     tp = evaluate(logic, p, beta)
     tq = evaluate(logic, q, beta)
     return EquivResult(tp == tq, tp, tq)

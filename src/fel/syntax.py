@@ -239,27 +239,51 @@ def print_expr(e: Expr, fully_parenthesized: bool = False) -> str:
     return go(e, 0)
 
 
+def _leaves(e: Expr) -> list[Expr]:
+    """The distinct atoms, constants and variables of e, left to right.
+
+    Each distinct binary subterm is visited once, so the walk is linear in
+    the size of the expression DAG (an h-nest over n atoms prints to about
+    2^n atoms) and needs no recursion.  A subterm seen before holds only
+    leaves seen before, so skipping it keeps first-occurrence order.
+    """
+    seen: set[Expr] = set()
+    out = []
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is FullAnd or cls is FullOr:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t.right)
+                stack.append(t.left)
+        elif cls is Not:
+            stack.append(t.operand)
+        elif t not in seen:
+            seen.add(t)
+            out.append(t)
+    return out
+
+
+def atoms_of(e: Expr) -> tuple[str, ...]:
+    """The atom names of e in first-occurrence order, left to right."""
+    names = []
+    for t in _leaves(e):
+        if type(t) is Atom:
+            names.append(t.name)
+        elif type(t) not in (ConstT, ConstF, ConstU):
+            raise TypeError(f"not a closed expression: {t!r}")
+    return tuple(names)
+
+
 def alphabet(e: Expr) -> set[str]:
     """The set of atoms occurring in e."""
-    if isinstance(e, Atom):
-        return {e.name}
-    if isinstance(e, (ConstT, ConstF, ConstU)):
-        return set()
-    if isinstance(e, Not):
-        return alphabet(e.operand)
-    if isinstance(e, (FullAnd, FullOr)):
-        return alphabet(e.left) | alphabet(e.right)
-    raise TypeError(f"not a closed expression: {e!r}")
+    return set(atoms_of(e))
 
 
 def contains_u(e: Expr) -> bool:
-    if isinstance(e, ConstU):
-        return True
-    if isinstance(e, Not):
-        return contains_u(e.operand)
-    if isinstance(e, (FullAnd, FullOr)):
-        return contains_u(e.left) or contains_u(e.right)
-    return False
+    return UNDEF in _leaves(e)
 
 
 def atom_seq(sigma) -> tuple[str, ...]:
@@ -282,15 +306,7 @@ def seq_filter(sigma, rho) -> str:
 
 def str_of(e: Expr) -> str:
     """First-occurrence atom string of e, left to right, no repeats."""
-    if isinstance(e, (ConstT, ConstF, ConstU)):
-        return ""
-    if isinstance(e, Atom):
-        return e.name
-    if isinstance(e, Not):
-        return str_of(e.operand)
-    if isinstance(e, (FullAnd, FullOr)):
-        return seq_filter(str_of(e.left), str_of(e.right))
-    raise TypeError(f"not a closed expression: {e!r}")
+    return "".join(atoms_of(e))
 
 
 def nnf(e: Expr) -> Expr:

@@ -2,7 +2,7 @@ import json
 
 from click.testing import CliRunner
 
-from fel import evaltree, semantics, syntax
+from fel import evaltree, normalforms, semantics, syntax
 from fel.cli import main
 
 runner = CliRunner()
@@ -165,3 +165,23 @@ def test_axioms_rejects_depth_below_one():
     r = run("axioms", "--set", "eqffel", "--exhaustive", "depth=0")
     assert r.exit_code == 2
     assert "depth must be at least 1" in r.output
+
+
+def test_static_logics_take_multi_character_atoms():
+    r = run("equiv", "--logic", "clfel2", "a0 & b", "b & a0")
+    assert r.exit_code == 0
+    assert r.output.strip() == "equivalent"
+    r = run("equiv", "--logic", "sfel", "a0 & F", "F")
+    assert r.exit_code == 0
+    r = run("normalize", "--logic", "clfel2", "b & a0")
+    assert r.exit_code == 0
+    assert r.output.strip() == syntax.print_expr(
+        normalforms.normalize_clfel2(syntax.parse("a0 & b")).body
+    )
+
+
+def test_models_rejects_bad_limits():
+    for args in (("--max-size", "1"), ("--budget", "nan"), ("--budget", "0")):
+        r = run("models", "--satisfy", "eqsfel", *args)
+        assert r.exit_code == 2
+        assert "error" in r.output

@@ -68,6 +68,12 @@ def test_find_model_contradiction_exhausted():
 def test_find_model_rejects_oversize():
     with pytest.raises(ValueError):
         find_model([], None, 5)
+    for size in (1, 0):
+        with pytest.raises(ValueError, match="max_size"):
+            find_model(axioms.EQSFEL, None, size)
+    for budget in (float("nan"), float("inf"), 0, -1.0):
+        with pytest.raises(ValueError, match="budget"):
+            find_model(axioms.EQSFEL, None, 2, budget)
 
 
 def test_exhausted_agrees_with_brute_force_at_size_2():

@@ -132,6 +132,42 @@ def test_permute_three_atoms_all_orders():
         assert semantics.clfe(out.body) == semantics.clfe(nf.body)
 
 
+def test_permute_multi_character_atoms():
+    nf = normalize_mfel(P("a0 & b"))
+    out = permute_sigma_nf(nf, ["b", "a0"])
+    assert out.sigma == "ba0"
+    assert syntax.atoms_of(out.body) == ("b", "a0")
+    assert semantics.clfe(out.body) is semantics.clfe(nf.body)
+    assert permute_sigma_nf(nf, ("a0", "b")) == nf
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute_sigma_nf(nf, "ba0")
+
+
+def _wide(n):
+    """A left-deep mix of & and | over a0..a(n-1), each atom two or three times."""
+    names = [f"a{i}" for i in range(n)]
+    text = names[0]
+    for i, a in enumerate(names[1:] + names[::3] + names[1::2], 1):
+        lit = "!" + a if i % 3 == 0 else a
+        text = f"({text}) {'&' if i % 2 else '|'} {lit}"
+    return P(text)
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_normalize_wide_expressions(n):
+    # the self-checks once fully evaluated the h-nest, whose paths are
+    # about 2^n atoms long
+    p = _wide(n)
+    x = semantics.fe(p)
+    nf = normalize_mfel(p)
+    assert nf.sigma == syntax.str_of(p)
+    assert semantics.mfe(nf.body) is semantics.memo(x)
+    beta = sorted(syntax.alphabet(p))
+    nf = normalize_clfel2(p)
+    assert nf.sigma == "".join(beta)
+    assert semantics.clfe(nf.body) is semantics.sfe_tree(beta, x)
+
+
 def test_enumerate_counts():
     assert len(list(enumerate_sigma_nf(""))) == 2
     assert len(list(enumerate_sigma_nf("a"))) == 4

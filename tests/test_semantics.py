@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from fel import semantics, syntax
+from fel import axioms, semantics, syntax
 from fel.evaltree import FALSE, TRUE, UNDEF, Leaf, depth, leaf_kinds, node
 from fel.semantics import (
     CLFEL,
@@ -25,6 +25,8 @@ from fel.semantics import (
     mfe_u,
     ra,
     sfe,
+    sfe_tree,
+    tree_or,
 )
 
 from test_syntax import exprs
@@ -166,7 +168,7 @@ def test_sfe_validates_alphabet():
 
 def test_logic_by_name():
     assert logic_by_name("ffel") == FFEL
-    assert logic_by_name("sfel", "ab").beta == "ab"
+    assert logic_by_name("sfel", "ab").beta == ("a", "b")
     with pytest.raises(ValueError):
         logic_by_name("boolean")
     with pytest.raises(ValueError):
@@ -193,8 +195,42 @@ def test_equiv_sfel_default_beta_is_union():
     assert equiv(SFEL(), P("a"), P("a & (b | !b)"))
 
 
-@given(exprs(allow_u=False, atoms=("a", "b")))
-def test_hierarchy_on_single_expressions(e):
+def test_static_logics_take_multi_character_atoms():
+    p, q = P("a0 & b"), P("b & a0")
+    assert clfe(p) == node("a0", node("b", TRUE, FALSE), node("b", FALSE, FALSE))
+    assert clfe(p) is clfe(q)
+    assert equiv(CLFEL2, p, q)
+    assert equiv(SFEL(), p, q)
+    assert equiv(SFEL(["b", "a0", "c1"]), p, q)
+    assert SFEL(["b", "a0"]).beta == ("b", "a0")
+    assert str(SFEL(["b", "a0"])) == "sfel(b,a0)"
+    assert sfe(["b", "a0"], p) == node("b", node("a0", TRUE, FALSE), node("a0", FALSE, FALSE))
+    with pytest.raises(ValueError, match="outside the alphabet: a0"):
+        sfe(["a", "b"], p)
+
+
+def _oracles(p, beta):
+    """The paper's definitions: mfe, clfe, sfe and mfe_u through memo(fe(p))."""
+    x = fe(p)
+    assert mfe(p) is memo(x)
+    assert mfe_u(p) is memo(fe_u(p))
+    assert clfe(p) is memo(tree_or(f_tilde_tree(sorted(syntax.alphabet(p))), x))
+    assert sfe(beta, p) is sfe_tree(beta, x)
+
+
+def test_perfect_trees_match_memo_oracle_exhaustively():
+    for p in axioms._universe(("a", "b"), 3, False):
+        for beta in (("a", "b"), ("b", "c", "a")):
+            _oracles(p, beta)
+
+
+_WIDE_ATOMS = ("a", "b0", "c", "d_1")
+
+
+@given(
+    exprs(allow_u=False, atoms=_WIDE_ATOMS),
+    st.permutations(_WIDE_ATOMS + ("z9",)),
+)
+def test_hierarchy_on_single_expressions(e, beta):
     # each logic's tree is a function of the previous one's
-    assert memo(fe(e)) == mfe(e)
-    assert memo(semantics.tree_or(f_tilde_tree(sorted(syntax.alphabet(e))), fe(e))) == clfe(e)
+    _oracles(e, beta)
