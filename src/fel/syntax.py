@@ -283,7 +283,23 @@ def alphabet(e: Expr) -> set[str]:
 
 
 def contains_u(e: Expr) -> bool:
-    return UNDEF in _leaves(e)
+    # The walk of _leaves, stopping at the first U: this runs once per term
+    # in the axiom checks, on terms of a few nodes.
+    seen: set[Expr] = set()
+    stack = [e]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is FullAnd or cls is FullOr:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t.right)
+                stack.append(t.left)
+        elif cls is Not:
+            stack.append(t.operand)
+        elif cls is ConstU:
+            return True
+    return False
 
 
 def atom_seq(sigma) -> tuple[str, ...]:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fel import axioms, semantics, syntax
+from fel import axioms, syntax
 from fel.evaltree import FALSE, TRUE, UNDEF, Leaf, depth, leaf_kinds, node
 from fel.semantics import (
     CLFEL,
@@ -209,7 +209,7 @@ def test_static_logics_take_multi_character_atoms():
         sfe(["a", "b"], p)
 
 
-def _oracles(p, beta):
+def _assert_oracles(p, beta):
     """The paper's definitions: mfe, clfe, sfe and mfe_u through memo(fe(p))."""
     x = fe(p)
     assert mfe(p) is memo(x)
@@ -221,7 +221,7 @@ def _oracles(p, beta):
 def test_perfect_trees_match_memo_oracle_exhaustively():
     for p in axioms._universe(("a", "b"), 3, False):
         for beta in (("a", "b"), ("b", "c", "a")):
-            _oracles(p, beta)
+            _assert_oracles(p, beta)
 
 
 _WIDE_ATOMS = ("a", "b0", "c", "d_1")
@@ -233,4 +233,4 @@ _WIDE_ATOMS = ("a", "b0", "c", "d_1")
 )
 def test_hierarchy_on_single_expressions(e, beta):
     # each logic's tree is a function of the previous one's
-    _oracles(e, beta)
+    _assert_oracles(e, beta)
