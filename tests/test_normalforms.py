@@ -155,8 +155,8 @@ def _wide(n):
 
 @pytest.mark.parametrize("n", [10, 16])
 def test_normalize_wide_expressions(n):
-    # the self-checks once fully evaluated the h-nest, whose paths are
-    # about 2^n atoms long
+    # a full evaluation of the h-nest body has paths about 2^n atoms long,
+    # so the normalizers' self-checks must not take that route
     p = _wide(n)
     x = semantics.fe(p)
     nf = normalize_mfel(p)
