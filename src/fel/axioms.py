@@ -19,8 +19,8 @@ import random as _random_mod
 from dataclasses import dataclass, field
 
 from . import semantics, syntax
-from .evaltree import EvalTree, FALSE, Leaf, TRUE, UNDEF, node
-from .semantics import Logic, memo, sfe_tree, tree_and, tree_not, tree_or
+from .evaltree import EvalTree, FALSE, TRUE, UNDEF, node
+from .semantics import SHARED, Logic, from_full, tree_and, tree_atoms, tree_not, tree_or
 from .syntax import Expr, Var
 
 _VAR_NAMES = ("x", "y", "z", "u", "v", "w")
@@ -287,22 +287,12 @@ class Random:
     atoms: tuple[str, ...] = ("a", "b")
     height: int = 4
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"count must be at least 1, got {self.count}")
+
 
 # --- instance evaluation at the tree level ---
-
-_LABELS_CACHE: dict[EvalTree, frozenset] = {}
-
-
-def _labels(t: EvalTree) -> frozenset:
-    r = _LABELS_CACHE.get(t)
-    if r is None:
-        if isinstance(t, Leaf):
-            r = frozenset()
-        else:
-            r = _labels(t.left) | _labels(t.right) | {t.atom}
-        _LABELS_CACHE[t] = r
-    return r
-
 
 def _skeleton_tree(t: Expr, env: dict[str, EvalTree]) -> EvalTree:
     if isinstance(t, Var):
@@ -324,42 +314,13 @@ def _skeleton_tree(t: Expr, env: dict[str, EvalTree]) -> EvalTree:
     raise TypeError(f"not an open term: {t!r}")
 
 
-def _side_has_u(t: Expr, env_u: dict[str, bool]) -> bool:
-    if isinstance(t, Var):
-        return env_u[t.name]
-    if isinstance(t, syntax.ConstU):
-        return True
-    if isinstance(t, syntax.Not):
-        return _side_has_u(t.operand, env_u)
-    if isinstance(t, (syntax.FullAnd, syntax.FullOr)):
-        return _side_has_u(t.left, env_u) or _side_has_u(t.right, env_u)
-    return False
-
-
-def _finish(logic: Logic, tree: EvalTree, has_u: bool, beta=None) -> EvalTree:
-    name = logic.name
-    if name in ("ffel", "ffelu"):
-        return tree
-    if name in ("mfel", "mfelu"):
-        return memo(tree)
-    if name in ("clfel2", "clfel", "sfel"):
-        if name == "clfel" and has_u:
-            return UNDEF
-        if name != "sfel" or beta is None:
-            beta = sorted(_labels(tree))
-        return sfe_tree(beta, tree)
-    raise ValueError(f"unknown logic {logic!r}")
-
-
-def _check_instance(logic, eq, trees, has_us, beta_fixed):
+def _check_instance(logic, eq, trees):
     lt = _skeleton_tree(eq.lhs, trees)
     rt = _skeleton_tree(eq.rhs, trees)
-    lu = _side_has_u(eq.lhs, has_us)
-    ru = _side_has_u(eq.rhs, has_us)
-    beta = beta_fixed
-    if logic.name == "sfel" and beta is None:
-        beta = sorted(_labels(lt) | _labels(rt))
-    return _finish(logic, lt, lu, beta), _finish(logic, rt, ru, beta)
+    beta = None
+    if logic.tree is SHARED and logic.beta is None:
+        beta = sorted(tree_atoms(lt) | tree_atoms(rt))
+    return from_full(logic, lt, beta), from_full(logic, rt, beta)
 
 
 # --- closed-term universes and their per-logic quotients ---
@@ -395,17 +356,16 @@ def _universe(atoms: tuple[str, ...], depth: int, allow_u: bool) -> list[Expr]:
 
 def _classes(logic: Logic, atoms: tuple[str, ...], depth: int, allow_u: bool):
     """One smallest representative per logic-equivalence class of the universe."""
-    key = (logic.name, logic.beta, atoms, depth, allow_u)
+    key = (logic, atoms, depth, allow_u)
     reps = _CLASS_CACHE.get(key)
     if reps is not None:
         return reps
     seen = {}
     for t in _universe(atoms, depth, allow_u):
         tree = semantics.fe_u(t)
-        has_u = syntax.contains_u(t)
-        k = _finish(logic, tree, has_u, logic.beta)
+        k = from_full(logic, tree)
         if k not in seen:
-            seen[k] = (t, tree, has_u)
+            seen[k] = (t, tree)
     reps = list(seen.values())
     _CLASS_CACHE[key] = reps
     return reps
@@ -478,8 +438,7 @@ def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
         checked = 0
         for combo in itertools.product(reps, repeat=len(names)):
             trees = {n: c[1] for n, c in zip(names, combo)}
-            has_us = {n: c[2] for n, c in zip(names, combo)}
-            lt, rt = _check_instance(logic, eq, trees, has_us, logic.beta)
+            lt, rt = _check_instance(logic, eq, trees)
             checked += 1
             if lt != rt:
                 return Verdict(
@@ -496,8 +455,7 @@ def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
                 n: _random_term(rng, atoms, allow_u, strategy.height) for n in names
             }
             trees = {n: semantics.fe_u(t) for n, t in assignment.items()}
-            has_us = {n: syntax.contains_u(t) for n, t in assignment.items()}
-            lt, rt = _check_instance(logic, eq, trees, has_us, logic.beta)
+            lt, rt = _check_instance(logic, eq, trees)
             if lt != rt:
                 return Verdict("counterexample", eq, i + 1, assignment, lt, rt)
         return Verdict("valid-on-sample", eq, strategy.count)

@@ -11,29 +11,34 @@ import sys
 
 import click
 
-from . import axioms, fnf, invert, models, normalforms, scl, semantics, syntax
+from . import axioms, evaltree, invert, models, normalforms, scl, semantics, syntax
 
 
-def _parse_expr(text: str) -> syntax.Expr:
-    try:
-        return syntax.parse(text)
-    except syntax.ParseError as err:
-        click.echo(f"error: {err}", err=True)
+class _Main(click.Group):
+    """The one error boundary: bad input exits 2 with an error message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as err:
+            message = str(err)
+        except RecursionError:
+            message = "input nested too deeply"
+        click.echo(f"error: {message}", err=True)
         sys.exit(2)
 
 
-def _logic(name: str, beta: str | None) -> semantics.Logic:
-    try:
-        return semantics.logic_by_name(name, beta)
-    except ValueError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+def _alphabet(ctx, param, value):
+    # Comma-separated atom names, so that beta can name atoms like a0.
+    return value.split(",") if value is not None and "," in value else value
 
 
-_LOGIC_CHOICE = click.Choice(["ffel", "ffelu", "mfel", "mfelu", "clfel2", "clfel", "sfel"])
+_LOGIC_CHOICE = click.Choice(list(semantics.LOGICS))
+_ALPHABET = click.option("--alphabet", default=None, callback=_alphabet,
+                         help="Atoms of sfel's beta: one per character, or comma-separated.")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Evaluation trees and normal forms for left-sequential logics."""
 
@@ -43,52 +48,34 @@ def main():
 @click.option("--fully-parenthesized", is_flag=True)
 def parse(expr, fully_parenthesized):
     """Parse EXPR and print it back."""
-    e = _parse_expr(expr)
+    e = syntax.parse(expr)
     click.echo(syntax.print_expr(e, fully_parenthesized=fully_parenthesized))
 
 
 @main.command()
 @click.option("--logic", "logic_name", type=_LOGIC_CHOICE, default="ffel", show_default=True)
-@click.option("--alphabet", default=None, help="Atom string for sfel.")
+@_ALPHABET
 @click.option("--format", "fmt", type=click.Choice(["ascii", "dot", "json"]), default="ascii")
 @click.argument("expr")
 def tree(logic_name, alphabet, fmt, expr):
     """Print the evaluation tree of EXPR in a logic."""
-    logic = _logic(logic_name, alphabet)
-    e = _parse_expr(expr)
-    try:
-        t = semantics.evaluate(logic, e)
-    except ValueError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
-    click.echo(evaltree_render(t, fmt))
-
-
-def evaltree_render(t, fmt):
-    from . import evaltree
-
-    return evaltree.render(t, fmt)
+    logic = semantics.logic_by_name(logic_name, alphabet)
+    t = semantics.evaluate(logic, syntax.parse(expr))
+    click.echo(evaltree.render(t, fmt))
 
 
 @main.command()
 @click.option("--logic", "logic_name", type=_LOGIC_CHOICE, default="ffel", show_default=True)
-@click.option("--alphabet", default=None, help="Atom string for sfel.")
+@_ALPHABET
 @click.argument("expr1")
 @click.argument("expr2")
 def equiv(logic_name, alphabet, expr1, expr2):
     """Decide whether two expressions are equivalent in a logic."""
-    logic = _logic(logic_name, alphabet)
-    e1, e2 = _parse_expr(expr1), _parse_expr(expr2)
-    try:
-        result = semantics.equiv(logic, e1, e2)
-    except ValueError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+    logic = semantics.logic_by_name(logic_name, alphabet)
+    result = semantics.equiv(logic, syntax.parse(expr1), syntax.parse(expr2))
     if result:
         click.echo("equivalent")
         return
-    from . import evaltree
-
     click.echo("NOT equivalent")
     click.echo("left tree:")
     click.echo(evaltree.render(result.left_tree, "ascii"))
@@ -103,26 +90,11 @@ def equiv(logic_name, alphabet, expr1, expr2):
 @click.argument("expr")
 def normalize(logic_name, fully_parenthesized, expr):
     """Print the normal form of EXPR in a logic."""
-    e = _parse_expr(expr)
-    try:
-        if logic_name == "ffel":
-            out = fnf.normalize_ffel(e)
-        elif logic_name == "ffelu":
-            out = fnf.normalize_ffelu(e)
-        elif logic_name == "mfel":
-            out = normalforms.normalize_mfel(e).body
-        elif logic_name == "mfelu":
-            out = normalforms.normalize_mfelu(e).body
-        elif logic_name == "clfel2":
-            out = normalforms.normalize_clfel2(e).body
-        elif logic_name == "clfel":
-            out = normalforms.normalize_clfelu(e).body
-        else:
-            click.echo("error: sfel has no normal forms; compare trees instead", err=True)
-            sys.exit(2)
-    except ValueError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+    logic = semantics.logic_by_name(logic_name)
+    normal_form = normalforms.NORMAL_FORMS.get(logic)
+    if normal_form is None:
+        raise ValueError(f"{logic} has no normal forms; compare trees instead")
+    out = normal_form(syntax.parse(expr))
     click.echo(syntax.print_expr(out, fully_parenthesized=fully_parenthesized))
 
 
@@ -131,13 +103,7 @@ def normalize(logic_name, fully_parenthesized, expr):
 @click.argument("tree_json")
 def invert_cmd(fully_parenthesized, tree_json):
     """Reconstruct the normal-form term of an evaluation tree (JSON)."""
-    from . import evaltree
-
-    try:
-        t = evaltree.tree_from_json(tree_json)
-    except (ValueError, KeyError) as err:
-        click.echo(f"error: bad tree JSON: {err}", err=True)
-        sys.exit(2)
+    t = evaltree.tree_from_json(tree_json)
     try:
         e = invert.g(t)
     except invert.NotInImage as err:
@@ -169,26 +135,21 @@ def axioms_cmd(logic_name, set_name, exhaustive_opt, random_opt):
     """Check an axiom set on closed instances."""
     axset = axioms.BUILTIN_SETS.get(set_name)
     if axset is None:
-        click.echo(f"error: unknown set {set_name!r} (expected one of "
-                   f"{', '.join(sorted(axioms.BUILTIN_SETS))})", err=True)
-        sys.exit(2)
-    logic = axioms.OWN_LOGIC[set_name] if logic_name is None else _logic(logic_name, None)
-    try:
-        if exhaustive_opt and random_opt:
-            raise ValueError("choose one of --exhaustive and --random")
-        if random_opt:
-            kv = _parse_kv(random_opt, {"n": int, "seed": int})
-            strategy = axioms.Random(count=kv.get("n", 100), seed=kv.get("seed", 0))
-        else:
-            kv = _parse_kv(exhaustive_opt, {"atoms": int, "depth": int}) if exhaustive_opt else {}
-            natoms = kv.get("atoms", 2)
-            strategy = axioms.Exhaustive(
-                atoms=tuple("abcdefgh"[:natoms]), depth=kv.get("depth", 3)
-            )
-        report = axioms.check_set(logic, axset, strategy)
-    except ValueError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+        raise ValueError(f"unknown set {set_name!r} (expected one of "
+                         f"{', '.join(sorted(axioms.BUILTIN_SETS))})")
+    logic = axioms.OWN_LOGIC[set_name] if logic_name is None else semantics.logic_by_name(logic_name)
+    if exhaustive_opt and random_opt:
+        raise ValueError("choose one of --exhaustive and --random")
+    if random_opt:
+        kv = _parse_kv(random_opt, {"n": int, "seed": int})
+        strategy = axioms.Random(count=kv.get("n", 100), seed=kv.get("seed", 0))
+    else:
+        kv = _parse_kv(exhaustive_opt, {"atoms": int, "depth": int}) if exhaustive_opt else {}
+        natoms = kv.get("atoms", 2)
+        if not 0 <= natoms <= 8:
+            raise ValueError(f"atoms must be between 0 and 8, got {natoms}")
+        strategy = axioms.Exhaustive(atoms=tuple("abcdefgh"[:natoms]), depth=kv.get("depth", 3))
+    report = axioms.check_set(logic, axset, strategy)
     for v in report:
         if v:
             note = f" ({v.note})" if v.note else ""
@@ -213,22 +174,16 @@ def models_cmd(satisfy, drop, max_size, budget):
     for name in satisfy.split(","):
         axset = axioms.BUILTIN_SETS.get(name.strip())
         if axset is None:
-            click.echo(f"error: unknown set {name.strip()!r}", err=True)
-            sys.exit(2)
+            raise ValueError(f"unknown set {name.strip()!r}")
         equations.extend(axset)
     violate = None
     if drop is not None:
         matches = [eq for eq in equations if eq.name == drop]
         if not matches:
-            click.echo(f"error: no axiom named {drop!r} in the given sets", err=True)
-            sys.exit(2)
+            raise ValueError(f"no axiom named {drop!r} in the given sets")
         violate = matches[0]
         equations = [eq for eq in equations if eq.name != drop]
-    try:
-        result = models.find_model(equations, violate, max_size, budget)
-    except ValueError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+    result = models.find_model(equations, violate, max_size, budget)
     if result:
         click.echo(result.model.to_json())
     else:
@@ -241,11 +196,7 @@ def models_cmd(satisfy, drop, max_size, budget):
 @click.option("--count-only", is_flag=True)
 def enumerate_cmd(sigma, count_only):
     """Enumerate all memorising normal forms over an atom string."""
-    try:
-        forms = list(normalforms.enumerate_sigma_nf(sigma))
-    except ValueError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+    forms = list(normalforms.enumerate_sigma_nf(sigma))
     if count_only:
         click.echo(str(len(forms)))
         return
@@ -257,25 +208,14 @@ def enumerate_cmd(sigma, count_only):
 @click.argument("expr")
 def translate(expr):
     """Translate EXPR to short-circuit connectives."""
-    e = _parse_expr(expr)
-    try:
-        click.echo(scl.print_scl(scl.translate_t(e)))
-    except ValueError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
+    click.echo(scl.print_scl(scl.translate_t(syntax.parse(expr))))
 
 
 @main.command(name="bridge-check")
 @click.argument("expr")
 def bridge_check_cmd(expr):
     """Verify that the translation preserves the evaluation tree."""
-    e = _parse_expr(expr)
-    try:
-        ok = scl.bridge_check(e)
-    except ValueError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(2)
-    if ok:
+    if scl.bridge_check(syntax.parse(expr)):
         click.echo("ok")
     else:
         click.echo("MISMATCH")

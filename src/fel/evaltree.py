@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from typing import Iterator, Mapping
 
+from .syntax import Atom
+
 LEAF_KINDS = ("T", "F", "U", "D", "D1", "D2")
 
 
@@ -173,15 +175,24 @@ def tree_to_json(x: EvalTree) -> dict:
 
 
 def tree_from_json(data) -> EvalTree:
+    """Read back tree_to_json's form, or its JSON text; ValueError if malformed."""
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("tree JSON must be an object")
     if "leaf" in data:
-        return leaf(data["leaf"])
+        kind = data["leaf"]
+        if not isinstance(kind, str):
+            raise ValueError(f"unknown leaf kind {kind!r}")
+        return leaf(kind)
     if "atom" in data:
+        atom = data["atom"]
+        if not isinstance(atom, str):
+            raise ValueError(f"invalid atom name {atom!r}")
+        if "left" not in data or "right" not in data:
+            raise ValueError("tree JSON node needs 'left' and 'right' keys")
         return node(
-            data["atom"],
+            Atom(atom).name,
             tree_from_json(data["left"]),
             tree_from_json(data["right"]),
         )

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from . import semantics, syntax
 from .evaltree import Leaf
-from .fnf import all_u_labels, u_sigma
+from .fnf import all_u_labels, normalize_ffel, normalize_ffelu, u_sigma
 from .syntax import Expr, FALSE, TRUE, mk_and, mk_atom, mk_not, mk_or
 
 
@@ -128,6 +128,17 @@ def normalize_clfelu(p: Expr) -> SigmaNormalForm:
     if syntax.contains_u(p):
         return SigmaNormalForm("", syntax.UNDEF)
     return normalize_clfel2(p)
+
+
+# The normal form of each logic that has one; sfel has none.
+NORMAL_FORMS = {
+    semantics.FFEL: normalize_ffel,
+    semantics.FFELU: normalize_ffelu,
+    semantics.MFEL: lambda p: normalize_mfel(p).body,
+    semantics.MFELU: lambda p: normalize_mfelu(p).body,
+    semantics.CLFEL2: lambda p: normalize_clfel2(p).body,
+    semantics.CLFEL: lambda p: normalize_clfelu(p).body,
+}
 
 
 def permute_sigma_nf(nf: SigmaNormalForm, sigma_prime) -> SigmaNormalForm:

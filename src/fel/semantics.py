@@ -11,6 +11,9 @@ evaluation trees:
   clfel2  memorising and commutative (two-valued)
   clfel   clfel2 with U (U is fully absorptive)
   sfel    static: propositional logic over a fixed alphabet beta
+
+Each is one row of the table LOGICS, which evaluate, from_full, the axiom
+checker and the CLI all read.
 """
 
 from __future__ import annotations
@@ -78,13 +81,6 @@ def tree_or(x: EvalTree, y: EvalTree) -> EvalTree:
         r = replace_leaves(x, {"T": replace_leaves(y, {"F": TRUE}), "F": y})
         _OR_CACHE[key] = r
     return r
-
-
-def fe(p: syntax.Expr) -> EvalTree:
-    """Full evaluation tree of a U-free expression."""
-    if syntax.contains_u(p):
-        raise ValueError("fe rejects U; use fe_u")
-    return fe_u(p)
 
 
 def fe_u(p: syntax.Expr) -> EvalTree:
@@ -247,23 +243,6 @@ def perfect_tree(order, p: syntax.Expr) -> EvalTree:
     return go(p)
 
 
-def mfe(p: syntax.Expr) -> EvalTree:
-    """Memorising evaluation: memo(fe(p)), the perfect tree over str_of(p)."""
-    if syntax.contains_u(p):
-        raise ValueError("mfe rejects U; use mfe_u")
-    return perfect_tree(syntax.atoms_of(p), p)
-
-
-def mfe_u(p: syntax.Expr) -> EvalTree:
-    if syntax.contains_u(p):
-        return memo(fe_u(p))
-    return mfe(p)
-
-
-def _sorted_alphabet(p: syntax.Expr) -> tuple[str, ...]:
-    return tuple(sorted(syntax.alphabet(p)))
-
-
 def f_tilde_tree(beta) -> EvalTree:
     """fe of the all-false prefix term over beta: a & (b & ... & F)."""
     t: EvalTree = FALSE
@@ -277,24 +256,37 @@ def sfe_tree(beta, x: EvalTree) -> EvalTree:
     return memo(tree_or(f_tilde_tree(beta), x))
 
 
-def clfe(p: syntax.Expr) -> EvalTree:
-    """Commutative memorising evaluation over the sorted alphabet of p."""
-    if syntax.contains_u(p):
-        raise ValueError("clfe rejects U; use clfe_u")
-    return sfe(_sorted_alphabet(p), p)
+_ATOMS_CACHE: dict[EvalTree, frozenset] = {}
 
 
-def clfe_u(p: syntax.Expr) -> EvalTree:
-    if syntax.contains_u(p):
-        return UNDEF
-    return clfe(p)
+def tree_atoms(x: EvalTree) -> frozenset:
+    """The atoms labelling x; for x = fe_u(p), the alphabet of p."""
+    r = _ATOMS_CACHE.get(x)
+    if r is None:
+        if isinstance(x, Leaf):
+            r = frozenset()
+        else:
+            r = tree_atoms(x.left) | tree_atoms(x.right) | {x.atom}
+        _ATOMS_CACHE[x] = r
+    return r
 
 
-def sfe(beta, p: syntax.Expr) -> EvalTree:
-    """Static evaluation: perfect tree over beta, alphabet(p) within beta."""
-    if syntax.contains_u(p):
-        raise ValueError("sfe rejects U")
-    return perfect_tree(beta, p)
+# The logics, one row each: which tree a logic keeps of the full evaluation
+# tree fe_u(p), and whether it admits U.
+FREE = "free"  # fe_u(p) itself
+MEMO = "memo"  # memo(fe_u(p)), the perfect tree over str_of(p)
+SORTED = "sorted"  # the perfect tree over the sorted alphabet of p
+SHARED = "shared"  # over beta, else the sorted alphabet both sides share
+# A SORTED or SHARED tree of a term with U is the leaf U: U absorbs all.
+LOGICS: dict[str, tuple[str, bool]] = {
+    "ffel": (FREE, False),
+    "ffelu": (FREE, True),
+    "mfel": (MEMO, False),
+    "mfelu": (MEMO, True),
+    "clfel2": (SORTED, False),
+    "clfel": (SORTED, True),
+    "sfel": (SHARED, False),
+}
 
 
 @dataclass(frozen=True)
@@ -302,14 +294,24 @@ class Logic:
     name: str
     beta: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        if self.name not in LOGICS:
+            raise ValueError(f"unknown logic {self.name!r} (expected one of {', '.join(LOGICS)})")
+        if self.beta is not None and self.tree is not SHARED:
+            raise ValueError(f"logic {self.name} does not take an alphabet")
+
     def __str__(self):
         if self.beta is not None:
             return f"{self.name}({','.join(self.beta)})"
         return self.name
 
     @property
+    def tree(self) -> str:
+        return LOGICS[self.name][0]
+
+    @property
     def allows_u(self) -> bool:
-        return self.name in ("ffelu", "mfelu", "clfel")
+        return LOGICS[self.name][1]
 
 
 FFEL = Logic("ffel")
@@ -320,47 +322,90 @@ CLFEL2 = Logic("clfel2")
 CLFEL = Logic("clfel")
 
 
-def SFEL(beta=None) -> Logic:
-    if beta is not None:
-        beta = syntax.atom_seq(beta)
-    return Logic("sfel", beta)
-
-
-_LOGIC_NAMES = ("ffel", "ffelu", "mfel", "mfelu", "clfel2", "clfel", "sfel")
-
-
 def logic_by_name(name: str, beta=None) -> Logic:
-    if name not in _LOGIC_NAMES:
-        raise ValueError(f"unknown logic {name!r} (expected one of {', '.join(_LOGIC_NAMES)})")
-    if name == "sfel":
-        return SFEL(beta)
     if beta is not None:
-        raise ValueError(f"logic {name} does not take an alphabet")
-    return Logic(name)
+        beta = tuple(syntax.Atom(a).name for a in syntax.atom_seq(beta))
+    return Logic(name, beta)
+
+
+def SFEL(beta=None) -> Logic:
+    return logic_by_name("sfel", beta)
+
+
+def _static_order(logic: Logic, beta, atoms) -> tuple[str, ...]:
+    if logic.tree is SHARED:
+        if beta is None:
+            beta = logic.beta
+        if beta is not None:
+            return beta
+    return tuple(sorted(atoms))
 
 
 def evaluate(logic: Logic, p: syntax.Expr, beta=None) -> EvalTree:
-    """The evaluation tree of p in the given logic."""
-    if not logic.allows_u and syntax.contains_u(p):
-        raise ValueError(f"logic {logic} accepts only U-free expressions")
-    if logic.name == "ffel":
-        return fe(p)
-    if logic.name == "ffelu":
+    """The evaluation tree of p in the given logic.
+
+    A U-free p takes the direct route: fe_u(p) itself, or the perfect tree
+    over the logic's atom order.  A p with U takes the definitional one,
+    from_full(logic, fe_u(p)).
+    """
+    if syntax.contains_u(p):
+        if not logic.allows_u:
+            raise ValueError(f"logic {logic} accepts only U-free expressions")
+        return from_full(logic, fe_u(p), beta)
+    kind = logic.tree
+    if kind is FREE:
         return fe_u(p)
-    if logic.name == "mfel":
-        return mfe(p)
-    if logic.name == "mfelu":
-        return mfe_u(p)
-    if logic.name == "clfel2":
-        return clfe(p)
-    if logic.name == "clfel":
-        return clfe_u(p)
-    if logic.name == "sfel":
-        b = beta if beta is not None else logic.beta
-        if b is None:
-            b = _sorted_alphabet(p)
-        return sfe(b, p)
-    raise ValueError(f"unknown logic {logic!r}")
+    if kind is MEMO:
+        return perfect_tree(syntax.atoms_of(p), p)
+    return perfect_tree(_static_order(logic, beta, syntax.alphabet(p)), p)
+
+
+def from_full(logic: Logic, x: EvalTree, beta=None) -> EvalTree:
+    """The logic's tree of a term whose full evaluation tree is x.
+
+    This is the paper's definition: x itself, memo(x), or the static tree
+    sfe_tree over the logic's atom order.  x has a U leaf exactly when its
+    term has U, and then every leaf is U, so the leftmost leaf tells.
+    """
+    kind = logic.tree
+    if kind is FREE:
+        return x
+    if kind is MEMO:
+        return memo(x)
+    t = x
+    while isinstance(t, Node):
+        t = t.left
+    if t is UNDEF:
+        return UNDEF
+    return sfe_tree(_static_order(logic, beta, tree_atoms(x)), x)
+
+
+def fe(p: syntax.Expr) -> EvalTree:
+    """Full evaluation tree of a U-free expression."""
+    return evaluate(FFEL, p)
+
+
+def mfe(p: syntax.Expr) -> EvalTree:
+    """Memorising evaluation: memo(fe(p)), the perfect tree over str_of(p)."""
+    return evaluate(MFEL, p)
+
+
+def mfe_u(p: syntax.Expr) -> EvalTree:
+    return evaluate(MFELU, p)
+
+
+def clfe(p: syntax.Expr) -> EvalTree:
+    """Commutative memorising evaluation over the sorted alphabet of p."""
+    return evaluate(CLFEL2, p)
+
+
+def clfe_u(p: syntax.Expr) -> EvalTree:
+    return evaluate(CLFEL, p)
+
+
+def sfe(beta, p: syntax.Expr) -> EvalTree:
+    """Static evaluation: perfect tree over beta, alphabet(p) within beta."""
+    return evaluate(SFEL(beta), p)
 
 
 @dataclass(frozen=True)
@@ -376,7 +421,7 @@ class EquivResult:
 def equiv(logic: Logic, p: syntax.Expr, q: syntax.Expr) -> EquivResult:
     """Decide the logic's congruence by comparing evaluation trees."""
     beta = None
-    if logic.name == "sfel" and logic.beta is None:
+    if logic.tree is SHARED and logic.beta is None:
         beta = tuple(sorted(syntax.alphabet(p) | syntax.alphabet(q)))
     tp = evaluate(logic, p, beta)
     tq = evaluate(logic, q, beta)

@@ -304,8 +304,6 @@ def contains_u(e: Expr) -> bool:
 
 def atom_seq(sigma) -> tuple[str, ...]:
     """Normalize an atom string: a str is one atom per character."""
-    if isinstance(sigma, str):
-        return tuple(sigma)
     return tuple(sigma)
 
 

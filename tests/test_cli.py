@@ -26,6 +26,13 @@ def test_parse_error_exits_2():
     assert "error" in r.output
 
 
+def test_too_deep_input_exits_2():
+    for args in (("parse", "!" * 3000 + "a"), ("equiv", " & ".join(["a"] * 1500), "a")):
+        r = run(*args)
+        assert r.exit_code == 2
+        assert "error: input nested too deeply" in r.output
+
+
 def test_tree_formats():
     r = run("tree", "a & b")
     assert r.exit_code == 0
@@ -44,9 +51,11 @@ def test_tree_logic_and_alphabet():
     # U in a two-valued logic is an input error
     r = run("tree", "--logic", "ffel", "U")
     assert r.exit_code == 2
-    # an alphabet is only meaningful for sfel
-    r = run("tree", "--logic", "mfel", "--alphabet", "ab", "a")
-    assert r.exit_code == 2
+    # an alphabet is only meaningful for sfel, and names only atoms
+    for logic, alphabet in (("mfel", "ab"), ("sfel", "aB"), ("sfel", "a,B")):
+        r = run("tree", "--logic", logic, "--alphabet", alphabet, "a")
+        assert r.exit_code == 2
+        assert "error" in r.output
 
 
 def test_equiv():
@@ -86,8 +95,16 @@ def test_invert_not_in_image():
 
 
 def test_invert_bad_json():
-    r = run("invert", "{not json")
-    assert r.exit_code == 2
+    for text in (
+        "{not json",
+        '{"atom": "A", "left": {"leaf": "T"}, "right": {"leaf": "F"}}',
+        '{"atom": 5, "left": {"leaf": "T"}, "right": {"leaf": "F"}}',
+        '{"atom": "a", "left": {"leaf": "T"}}',
+        '{"leaf": [1]}',
+    ):
+        r = run("invert", text)
+        assert r.exit_code == 2
+        assert "error" in r.output
 
 
 def test_axioms_valid():
@@ -110,8 +127,16 @@ def test_axioms_usage_errors():
     assert r.exit_code == 2
     r = run("axioms", "--set", "eqffel", "--exhaustive", "atoms=1", "--random", "n=5,seed=0")
     assert r.exit_code == 2
-    r = run("axioms", "--set", "eqffel", "--exhaustive", "bogus=3")
-    assert r.exit_code == 2
+    for args in (
+        ("--exhaustive", "bogus=3"),
+        ("--random", "n=-1"),
+        ("--random", "n=0"),
+        ("--exhaustive", "atoms=9"),
+        ("--exhaustive", "atoms=-1"),
+    ):
+        r = run("axioms", "--set", "eqffel", *args)
+        assert r.exit_code == 2
+        assert "error" in r.output
 
 
 def test_models_found_and_json():
@@ -173,6 +198,13 @@ def test_static_logics_take_multi_character_atoms():
     assert r.output.strip() == "equivalent"
     r = run("equiv", "--logic", "sfel", "a0 & F", "F")
     assert r.exit_code == 0
+    # an explicit beta names multi-character atoms with commas
+    r = run("tree", "--logic", "sfel", "--alphabet", "b,a0", "--format", "json", "a0 & b")
+    assert r.exit_code == 0
+    want = semantics.sfe(["b", "a0"], syntax.parse("a0 & b"))
+    assert evaltree.tree_from_json(r.output) is want
+    r = run("tree", "--logic", "sfel", "--alphabet", "a0b", "a0 & b")
+    assert r.exit_code == 2
     r = run("normalize", "--logic", "clfel2", "b & a0")
     assert r.exit_code == 0
     assert r.output.strip() == syntax.print_expr(

@@ -74,8 +74,12 @@ def test_json_roundtrip():
     assert tree_from_json(json.dumps(data)) == x
     with pytest.raises(ValueError):
         tree_from_json("[1, 2]")
-    with pytest.raises(ValueError):
-        tree_from_json('{"weird": 1}')
+    for bad in ('{"weird": 1}', {"leaf": [1]}, {"atom": "a", "left": {"leaf": "T"}},
+                {"atom": "A", "left": {"leaf": "T"}, "right": {"leaf": "F"}},
+                {"atom": 5, "left": {"leaf": "T"}, "right": {"leaf": "F"}},
+                {"atom": [1], "left": {"leaf": "T"}, "right": {"leaf": "F"}}):
+        with pytest.raises(ValueError):
+            tree_from_json(bad)
 
 
 def test_render_ascii():

@@ -8,6 +8,7 @@ from fel.semantics import (
     CLFEL2,
     FFEL,
     FFELU,
+    LOGICS,
     MFEL,
     MFELU,
     SFEL,
@@ -18,6 +19,7 @@ from fel.semantics import (
     f_tilde_tree,
     fe,
     fe_u,
+    from_full,
     la,
     logic_by_name,
     memo,
@@ -173,6 +175,12 @@ def test_logic_by_name():
         logic_by_name("boolean")
     with pytest.raises(ValueError):
         logic_by_name("ffel", "ab")
+    for beta in ("aB", ["a", "0"]):
+        with pytest.raises(ValueError, match="invalid atom name"):
+            SFEL(beta)
+    assert SFEL("").beta == ()
+    with pytest.raises(ValueError, match="outside the alphabet: a"):
+        evaluate(SFEL(""), P("a"))
 
 
 def test_evaluate_u_gate():
@@ -216,6 +224,18 @@ def _assert_oracles(p, beta):
     assert mfe_u(p) is memo(fe_u(p))
     assert clfe(p) is memo(tree_or(f_tilde_tree(sorted(syntax.alphabet(p))), x))
     assert sfe(beta, p) is sfe_tree(beta, x)
+
+
+def test_every_logic_is_its_definition_exhaustively():
+    # evaluate's direct routes against from_full, the definition; from_full
+    # tells a term with U by its tree, which is all U exactly then
+    logics = [logic_by_name(name) for name in LOGICS] + [SFEL(("b", "c", "a"))]
+    for p in axioms._universe(("a", "b"), 3, True):
+        x, has_u = fe_u(p), syntax.contains_u(p)
+        assert leaf_kinds(x) == {"U"} if has_u else "U" not in leaf_kinds(x)
+        for logic in logics:
+            if logic.allows_u or not has_u:
+                assert evaluate(logic, p) is from_full(logic, x)
 
 
 def test_perfect_trees_match_memo_oracle_exhaustively():
