@@ -178,25 +178,28 @@ def tree_from_json(data) -> EvalTree:
     """Read back tree_to_json's form, or its JSON text; ValueError if malformed."""
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError("tree JSON must be an object")
-    if "leaf" in data:
-        kind = data["leaf"]
-        if not isinstance(kind, str):
-            raise ValueError(f"unknown leaf kind {kind!r}")
-        return leaf(kind)
-    if "atom" in data:
-        atom = data["atom"]
-        if not isinstance(atom, str):
-            raise ValueError(f"invalid atom name {atom!r}")
-        if "left" not in data or "right" not in data:
-            raise ValueError("tree JSON node needs 'left' and 'right' keys")
-        return node(
-            Atom(atom).name,
-            tree_from_json(data["left"]),
-            tree_from_json(data["right"]),
-        )
-    raise ValueError("tree JSON object needs a 'leaf' or 'atom' key")
+    atoms: set[str] = set()  # labels already checked to be atom names
+
+    def go(d) -> EvalTree:
+        if not isinstance(d, dict):
+            raise ValueError("tree JSON must be an object")
+        if "leaf" in d:
+            kind = d["leaf"]
+            if not isinstance(kind, str):
+                raise ValueError(f"unknown leaf kind {kind!r}")
+            return leaf(kind)
+        if "atom" in d:
+            atom = d["atom"]
+            if not isinstance(atom, str):
+                raise ValueError(f"invalid atom name {atom!r}")
+            if atom not in atoms:
+                atoms.add(Atom(atom).name)
+            if "left" not in d or "right" not in d:
+                raise ValueError("tree JSON node needs 'left' and 'right' keys")
+            return node(atom, go(d["left"]), go(d["right"]))
+        raise ValueError("tree JSON object needs a 'leaf' or 'atom' key")
+
+    return go(data)
 
 
 def render(x: EvalTree, format: str = "ascii", middle_u: bool = False) -> str:

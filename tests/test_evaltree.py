@@ -77,7 +77,8 @@ def test_json_roundtrip():
     for bad in ('{"weird": 1}', {"leaf": [1]}, {"atom": "a", "left": {"leaf": "T"}},
                 {"atom": "A", "left": {"leaf": "T"}, "right": {"leaf": "F"}},
                 {"atom": 5, "left": {"leaf": "T"}, "right": {"leaf": "F"}},
-                {"atom": [1], "left": {"leaf": "T"}, "right": {"leaf": "F"}}):
+                {"atom": [1], "left": {"leaf": "T"}, "right": {"leaf": "F"}},
+                {"atom": "a", "left": '{"leaf": "T"}', "right": {"leaf": "F"}}):
         with pytest.raises(ValueError):
             tree_from_json(bad)
 
