@@ -291,14 +291,19 @@ LOGICS: dict[str, tuple[str, bool]] = {
 
 @dataclass(frozen=True)
 class Logic:
+    """A row of LOGICS, with sfel's atom order beta if one is fixed."""
+
     name: str
     beta: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.name not in LOGICS:
             raise ValueError(f"unknown logic {self.name!r} (expected one of {', '.join(LOGICS)})")
-        if self.beta is not None and self.tree is not SHARED:
-            raise ValueError(f"logic {self.name} does not take an alphabet")
+        if self.beta is not None:
+            if self.tree is not SHARED:
+                raise ValueError(f"logic {self.name} does not take an alphabet")
+            beta = tuple(syntax.Atom(a).name for a in syntax.atom_seq(self.beta))
+            object.__setattr__(self, "beta", beta)
 
     def __str__(self):
         if self.beta is not None:
@@ -323,13 +328,11 @@ CLFEL = Logic("clfel")
 
 
 def logic_by_name(name: str, beta=None) -> Logic:
-    if beta is not None:
-        beta = tuple(syntax.Atom(a).name for a in syntax.atom_seq(beta))
     return Logic(name, beta)
 
 
 def SFEL(beta=None) -> Logic:
-    return logic_by_name("sfel", beta)
+    return Logic("sfel", beta)
 
 
 def _static_order(logic: Logic, beta, atoms) -> tuple[str, ...]:

@@ -9,6 +9,7 @@ from fel.semantics import (
     FFEL,
     FFELU,
     LOGICS,
+    Logic,
     MFEL,
     MFELU,
     SFEL,
@@ -179,6 +180,7 @@ def test_logic_by_name():
         with pytest.raises(ValueError, match="invalid atom name"):
             SFEL(beta)
     assert SFEL("").beta == ()
+    assert Logic("sfel", ["b", "a0"]) == SFEL(("b", "a0"))
     with pytest.raises(ValueError, match="outside the alphabet: a"):
         evaluate(SFEL(""), P("a"))
 
