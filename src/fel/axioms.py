@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import semantics, syntax
 from .evaltree import EvalTree, FALSE, TRUE, UNDEF, node
-from .semantics import SHARED, Logic, from_full, tree_and, tree_atoms, tree_not, tree_or
+from .semantics import Logic, both_sides, from_full, tree_and, tree_atoms, tree_not, tree_or
 from .syntax import Expr, Var
 
 _VAR_NAMES = ("x", "y", "z", "u", "v", "w")
@@ -317,10 +317,7 @@ def _skeleton_tree(t: Expr, env: dict[str, EvalTree]) -> EvalTree:
 def _check_instance(logic, eq, trees):
     lt = _skeleton_tree(eq.lhs, trees)
     rt = _skeleton_tree(eq.rhs, trees)
-    beta = None
-    if logic.tree is SHARED and logic.beta is None:
-        beta = sorted(tree_atoms(lt) | tree_atoms(rt))
-    return from_full(logic, lt, beta), from_full(logic, rt, beta)
+    return both_sides(logic, lt, rt, from_full, tree_atoms)
 
 
 # --- closed-term universes and their per-logic quotients ---
@@ -428,7 +425,7 @@ def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
     allow_u = logic.allows_u
 
     if isinstance(strategy, Exhaustive):
-        atoms = syntax.atom_seq(strategy.atoms)
+        atoms = tuple(strategy.atoms)
         reps = _classes(logic, atoms, strategy.depth, allow_u)
         note = ""
         if names and len(reps) ** len(names) > strategy.max_instances:
@@ -449,7 +446,7 @@ def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
 
     if isinstance(strategy, Random):
         rng = _random_mod.Random(strategy.seed)
-        atoms = syntax.atom_seq(strategy.atoms)
+        atoms = tuple(strategy.atoms)
         for i in range(strategy.count):
             assignment = {
                 n: _random_term(rng, atoms, allow_u, strategy.height) for n in names

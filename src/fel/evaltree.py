@@ -178,7 +178,6 @@ def tree_from_json(data) -> EvalTree:
     """Read back tree_to_json's form, or its JSON text; ValueError if malformed."""
     if isinstance(data, str):
         data = json.loads(data)
-    atoms: set[str] = set()  # labels already checked to be atom names
 
     def go(d) -> EvalTree:
         if not isinstance(d, dict):
@@ -192,8 +191,7 @@ def tree_from_json(data) -> EvalTree:
             atom = d["atom"]
             if not isinstance(atom, str):
                 raise ValueError(f"invalid atom name {atom!r}")
-            if atom not in atoms:
-                atoms.add(Atom(atom).name)
+            Atom(atom)  # ValueError unless atom names an atom
             if "left" not in d or "right" not in d:
                 raise ValueError("tree JSON node needs 'left' and 'right' keys")
             return node(atom, go(d["left"]), go(d["right"]))

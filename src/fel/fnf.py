@@ -239,7 +239,7 @@ def normalize_ffel(p: syntax.Expr) -> syntax.Expr:
 def u_sigma(sigma) -> syntax.Expr:
     """The canonical undefined term a1 & (a2 & ... & U) over sigma."""
     e: syntax.Expr = UNDEF
-    for a in reversed(syntax.atom_seq(sigma)):
+    for a in reversed(tuple(sigma)):
         e = mk_and(syntax.mk_atom(a), e)
     return e
 

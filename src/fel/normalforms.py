@@ -49,7 +49,7 @@ def _h_parts(e: Expr) -> tuple[str, Expr, Expr]:
 def t_sigma(sigma) -> Expr:
     """The canonical always-true form over sigma."""
     e: Expr = TRUE
-    for a in reversed(syntax.atom_seq(sigma)):
+    for a in reversed(tuple(sigma)):
         e = h(mk_atom(a), e, e)
     return e
 
@@ -57,7 +57,7 @@ def t_sigma(sigma) -> Expr:
 def f_sigma(sigma) -> Expr:
     """The canonical always-false form over sigma."""
     e: Expr = FALSE
-    for a in reversed(syntax.atom_seq(sigma)):
+    for a in reversed(tuple(sigma)):
         e = h(mk_atom(a), e, e)
     return e
 
@@ -65,7 +65,7 @@ def f_sigma(sigma) -> Expr:
 def f_tilde_sigma(sigma) -> Expr:
     """The short always-false prefix term a & (b & ... & F) over sigma."""
     e: Expr = FALSE
-    for a in reversed(syntax.atom_seq(sigma)):
+    for a in reversed(tuple(sigma)):
         e = mk_and(mk_atom(a), e)
     return e
 
@@ -145,7 +145,7 @@ def permute_sigma_nf(nf: SigmaNormalForm, sigma_prime) -> SigmaNormalForm:
     """Reorder an h-nest to a permutation of its atom string by h-swaps."""
     if syntax.contains_u(nf.body):
         raise ValueError("cannot permute an undefined form")
-    target = syntax.atom_seq(sigma_prime)
+    target = tuple(sigma_prime)
     source = []
     e = nf.body
     while not isinstance(e, (syntax.ConstT, syntax.ConstF)):
@@ -182,7 +182,7 @@ _ENUM_BOUND = 4
 
 def enumerate_sigma_nf(sigma) -> Iterator[SigmaNormalForm]:
     """All 2^(2^|sigma|) normal forms over sigma, without duplicates."""
-    atoms = syntax.atom_seq(sigma)
+    atoms = tuple(sigma)
     if len(set(atoms)) != len(atoms):
         raise ValueError(f"alphabet {sigma!r} repeats an atom")
     if len(atoms) > _ENUM_BOUND:

@@ -163,7 +163,7 @@ def perfect_tree(order, p: syntax.Expr) -> EvalTree:
     live for one call; a tree's root determines its level, so the trees
     alone are the keys.
     """
-    atoms = syntax.atom_seq(order)
+    atoms = tuple(order)
     if len(set(atoms)) != len(atoms):
         raise ValueError(f"alphabet {order!r} repeats an atom")
     n = len(atoms)
@@ -246,7 +246,7 @@ def perfect_tree(order, p: syntax.Expr) -> EvalTree:
 def f_tilde_tree(beta) -> EvalTree:
     """fe of the all-false prefix term over beta: a & (b & ... & F)."""
     t: EvalTree = FALSE
-    for a in reversed(syntax.atom_seq(beta)):
+    for a in reversed(tuple(beta)):
         t = node(a, t, t)
     return t
 
@@ -302,7 +302,7 @@ class Logic:
         if self.beta is not None:
             if self.tree is not SHARED:
                 raise ValueError(f"logic {self.name} does not take an alphabet")
-            beta = tuple(syntax.Atom(a).name for a in syntax.atom_seq(self.beta))
+            beta = tuple(syntax.Atom(a).name for a in self.beta)
             object.__setattr__(self, "beta", beta)
 
     def __str__(self):
@@ -348,13 +348,15 @@ def evaluate(logic: Logic, p: syntax.Expr, beta=None) -> EvalTree:
     """The evaluation tree of p in the given logic.
 
     A U-free p takes the direct route: fe_u(p) itself, or the perfect tree
-    over the logic's atom order.  A p with U takes the definitional one,
-    from_full(logic, fe_u(p)).
+    over the logic's atom order.  A p with U has the static tree U, and
+    otherwise takes the definitional route, from_full(logic, fe_u(p)).
     """
     if syntax.contains_u(p):
         if not logic.allows_u:
             raise ValueError(f"logic {logic} accepts only U-free expressions")
-        return from_full(logic, fe_u(p), beta)
+        if logic.tree in (SORTED, SHARED):
+            return UNDEF  # without building fe_u(p), which may be exponential
+        return from_full(logic, fe_u(p))
     kind = logic.tree
     if kind is FREE:
         return fe_u(p)
@@ -421,11 +423,19 @@ class EquivResult:
         return self.equal
 
 
-def equiv(logic: Logic, p: syntax.Expr, q: syntax.Expr) -> EquivResult:
-    """Decide the logic's congruence by comparing evaluation trees."""
+def both_sides(logic: Logic, left, right, one, atoms) -> tuple[EvalTree, EvalTree]:
+    """one(logic, side, beta) of both sides of an equation, atoms(side) their atoms.
+
+    An sfel without a fixed beta evaluates both sides over the sorted
+    alphabet they share.
+    """
     beta = None
     if logic.tree is SHARED and logic.beta is None:
-        beta = tuple(sorted(syntax.alphabet(p) | syntax.alphabet(q)))
-    tp = evaluate(logic, p, beta)
-    tq = evaluate(logic, q, beta)
+        beta = tuple(sorted(atoms(left) | atoms(right)))
+    return one(logic, left, beta), one(logic, right, beta)
+
+
+def equiv(logic: Logic, p: syntax.Expr, q: syntax.Expr) -> EquivResult:
+    """Decide the logic's congruence by comparing evaluation trees."""
+    tp, tq = both_sides(logic, p, q, evaluate, syntax.alphabet)
     return EquivResult(tp == tq, tp, tq)

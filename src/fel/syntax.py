@@ -302,16 +302,11 @@ def contains_u(e: Expr) -> bool:
     return False
 
 
-def atom_seq(sigma) -> tuple[str, ...]:
-    """Normalize an atom string: a str is one atom per character."""
-    return tuple(sigma)
-
-
 def seq_filter(sigma, rho) -> str:
     """Append to sigma the atoms of rho that sigma does not already have."""
-    out = list(atom_seq(sigma))
+    out = list(sigma)
     have = set(out)
-    for a in atom_seq(rho):
+    for a in rho:
         if a not in have:
             out.append(a)
             have.add(a)

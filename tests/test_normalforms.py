@@ -18,6 +18,7 @@ from fel.normalforms import (
     t_sigma,
 )
 from fel import fnf
+from fel.evaltree import UNDEF
 from fel.fnf import u_sigma
 from fel.syntax import FALSE, TRUE, mk_atom
 
@@ -166,6 +167,10 @@ def test_normalize_wide_expressions(n):
     nf = normalize_clfel2(p)
     assert nf.sigma == "".join(beta)
     assert semantics.clfe(nf.body) is semantics.sfe_tree(beta, x)
+    # nor may clfel's tree of the body with U, which is U
+    u = syntax.mk_and(nf.body, syntax.UNDEF)
+    assert semantics.clfe_u(u) is semantics.clfe_u(syntax.mk_or(syntax.UNDEF, nf.body)) is UNDEF
+    assert semantics.equiv(semantics.CLFEL, u, syntax.UNDEF)
 
 
 def test_enumerate_counts():
