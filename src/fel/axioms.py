@@ -19,8 +19,8 @@ import random as _random_mod
 from dataclasses import dataclass, field
 
 from . import semantics, syntax
-from .evaltree import EvalTree, FALSE, TRUE, UNDEF, node
-from .semantics import Logic, both_sides, from_full, tree_and, tree_atoms, tree_not, tree_or
+from .evaltree import EvalTree
+from .semantics import Logic, both_sides, fe_open, from_full, tree_atoms
 from .syntax import Expr, Var
 
 _VAR_NAMES = ("x", "y", "z", "u", "v", "w")
@@ -294,29 +294,8 @@ class Random:
 
 # --- instance evaluation at the tree level ---
 
-def _skeleton_tree(t: Expr, env: dict[str, EvalTree]) -> EvalTree:
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, syntax.Atom):
-        return node(t.name, TRUE, FALSE)
-    if isinstance(t, syntax.ConstT):
-        return TRUE
-    if isinstance(t, syntax.ConstF):
-        return FALSE
-    if isinstance(t, syntax.ConstU):
-        return UNDEF
-    if isinstance(t, syntax.Not):
-        return tree_not(_skeleton_tree(t.operand, env))
-    if isinstance(t, syntax.FullAnd):
-        return tree_and(_skeleton_tree(t.left, env), _skeleton_tree(t.right, env))
-    if isinstance(t, syntax.FullOr):
-        return tree_or(_skeleton_tree(t.left, env), _skeleton_tree(t.right, env))
-    raise TypeError(f"not an open term: {t!r}")
-
-
 def _check_instance(logic, eq, trees):
-    lt = _skeleton_tree(eq.lhs, trees)
-    rt = _skeleton_tree(eq.rhs, trees)
+    lt, rt = fe_open(eq.lhs, trees), fe_open(eq.rhs, trees)
     return both_sides(logic, lt, rt, from_full, tree_atoms)
 
 

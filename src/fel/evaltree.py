@@ -123,6 +123,19 @@ def replace_leaves(x: EvalTree, mapping: Mapping[str, EvalTree]) -> EvalTree:
     return go(x)
 
 
+# subst's computed table, keyed by the call; it serves every connective.
+_SUBST_CACHE: dict[tuple, EvalTree] = {}
+
+
+def subst(x: EvalTree, kt: EvalTree, kf: EvalTree) -> EvalTree:
+    """x with its T leaves replaced by kt and its F leaves by kf; other kinds stay."""
+    key = (x, kt, kf)
+    r = _SUBST_CACHE.get(key)
+    if r is None:
+        r = _SUBST_CACHE[key] = replace_leaves(x, {"T": kt, "F": kf})
+    return r
+
+
 def depth(x: EvalTree) -> int:
     memo: dict[EvalTree, int] = {}
 

@@ -28,6 +28,7 @@ from .evaltree import (
     leaf_kinds,
     node,
     replace_leaves,
+    subst,
 )
 
 _TF = frozenset(("T", "F"))
@@ -82,7 +83,7 @@ def find_ccd(x: EvalTree) -> list[Decomposition]:
     for z in iter_subtrees(x):
         if leaf_kinds(z) != _TF:
             continue
-        z2 = replace_leaves(z, {"T": FALSE})
+        z2 = subst(z, FALSE, FALSE)
         y = _context(x, z, HOLE1, z2, HOLE2)
         if leaf_kinds(y) != frozenset(("D1", "D2")):
             continue
@@ -98,7 +99,7 @@ def find_cdd(x: EvalTree) -> list[Decomposition]:
     for z in iter_subtrees(x):
         if leaf_kinds(z) != _TF:
             continue
-        z2 = replace_leaves(z, {"F": TRUE})
+        z2 = subst(z, TRUE, TRUE)
         y = _context(x, z2, HOLE1, z, HOLE2)
         if leaf_kinds(y) != frozenset(("D1", "D2")):
             continue
@@ -183,9 +184,9 @@ def g_f(x: EvalTree) -> syntax.Expr:
 def g_ell(x: EvalTree) -> syntax.Expr:
     """Invert the tree of a single literal block a & P or !a & P."""
     if isinstance(x, Node):
-        if leaf_kinds(x.left) == _ONLY_T and replace_leaves(x.left, {"T": FALSE}) == x.right:
+        if leaf_kinds(x.left) == _ONLY_T and subst(x.left, FALSE, FALSE) == x.right:
             return syntax.mk_and(syntax.mk_atom(x.atom), g_t(x.left))
-        if leaf_kinds(x.right) == _ONLY_T and replace_leaves(x.right, {"T": FALSE}) == x.left:
+        if leaf_kinds(x.right) == _ONLY_T and subst(x.right, FALSE, FALSE) == x.left:
             return syntax.mk_and(syntax.mk_not(syntax.mk_atom(x.atom)), g_t(x.right))
     raise NotInImage("not the tree of a literal block")
 

@@ -21,7 +21,7 @@ from .syntax import Expr, FALSE, TRUE, mk_and, mk_atom, mk_not, mk_or
 
 @dataclass(frozen=True)
 class SigmaNormalForm:
-    sigma: str
+    sigma: tuple[str, ...]
     body: Expr
 
     def __str__(self):
@@ -90,14 +90,14 @@ def _read_back(tree) -> Expr:
 
 
 def normalize_mfel(p: Expr) -> SigmaNormalForm:
-    """The unique memorising normal form over sigma = str_of(p)."""
+    """The unique memorising normal form over sigma = atoms_of(p)."""
     if syntax.contains_u(p):
         raise ValueError("normalize_mfel rejects U; use normalize_mfelu")
     tree = semantics.mfe(p)
     body = _read_back(tree)
     if semantics.mfe(body) != tree:
         raise AssertionError("normal form changed the evaluation tree")
-    return SigmaNormalForm(syntax.str_of(p), body)
+    return SigmaNormalForm(syntax.atoms_of(p), body)
 
 
 def normalize_mfelu(p: Expr) -> SigmaNormalForm:
@@ -109,7 +109,7 @@ def normalize_mfelu(p: Expr) -> SigmaNormalForm:
     body = u_sigma(labels)
     if semantics.mfe_u(body) != tree:
         raise AssertionError("normal form changed the evaluation tree")
-    return SigmaNormalForm("".join(labels), body)
+    return SigmaNormalForm(tuple(labels), body)
 
 
 def normalize_clfel2(p: Expr) -> SigmaNormalForm:
@@ -120,13 +120,13 @@ def normalize_clfel2(p: Expr) -> SigmaNormalForm:
     body = _read_back(tree)
     if semantics.clfe(body) != tree:
         raise AssertionError("normal form changed the evaluation tree")
-    return SigmaNormalForm("".join(sorted(syntax.alphabet(p))), body)
+    return SigmaNormalForm(tuple(sorted(syntax.alphabet(p))), body)
 
 
 def normalize_clfelu(p: Expr) -> SigmaNormalForm:
     """Commutative normal form with U: every U-expression collapses to U."""
     if syntax.contains_u(p):
-        return SigmaNormalForm("", syntax.UNDEF)
+        return SigmaNormalForm((), syntax.UNDEF)
     return normalize_clfel2(p)
 
 
@@ -174,7 +174,7 @@ def permute_sigma_nf(nf: SigmaNormalForm, sigma_prime) -> SigmaNormalForm:
     body = go(nf.body, target)
     if target and semantics.clfe(body) != semantics.clfe(nf.body):
         raise AssertionError("permutation changed the commutative tree")
-    return SigmaNormalForm("".join(target), body)
+    return SigmaNormalForm(target, body)
 
 
 _ENUM_BOUND = 4
@@ -187,7 +187,6 @@ def enumerate_sigma_nf(sigma) -> Iterator[SigmaNormalForm]:
         raise ValueError(f"alphabet {sigma!r} repeats an atom")
     if len(atoms) > _ENUM_BOUND:
         raise ValueError(f"alphabet longer than the bound of {_ENUM_BOUND}")
-    name = "".join(atoms)
 
     def bodies(rest: tuple[str, ...]) -> list[Expr]:
         if not rest:
@@ -197,4 +196,4 @@ def enumerate_sigma_nf(sigma) -> Iterator[SigmaNormalForm]:
         return [h(a, p1, p2) for p1 in sub for p2 in sub]
 
     for body in bodies(atoms):
-        yield SigmaNormalForm(name, body)
+        yield SigmaNormalForm(atoms, body)

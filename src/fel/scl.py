@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import semantics, syntax
-from .evaltree import EvalTree, FALSE, TRUE, node, replace_leaves
+from .evaltree import EvalTree, FALSE, TRUE, node, subst
 
 
 class SclExpr:
@@ -57,28 +57,14 @@ class ScOr(SclExpr):
 SC_TRUE = ConstT()
 SC_FALSE = ConstF()
 
-_SC_AND_CACHE: dict[tuple, EvalTree] = {}
-_SC_OR_CACHE: dict[tuple, EvalTree] = {}
-
-
 def sc_and(x: EvalTree, y: EvalTree) -> EvalTree:
     """Tree of a short-circuit conjunction: y replaces only the T leaves."""
-    key = (x, y)
-    r = _SC_AND_CACHE.get(key)
-    if r is None:
-        r = replace_leaves(x, {"T": y})
-        _SC_AND_CACHE[key] = r
-    return r
+    return subst(x, y, FALSE)
 
 
 def sc_or(x: EvalTree, y: EvalTree) -> EvalTree:
     """Tree of a short-circuit disjunction: y replaces only the F leaves."""
-    key = (x, y)
-    r = _SC_OR_CACHE.get(key)
-    if r is None:
-        r = replace_leaves(x, {"F": y})
-        _SC_OR_CACHE[key] = r
-    return r
+    return subst(x, TRUE, y)
 
 
 def se(p: SclExpr) -> EvalTree:

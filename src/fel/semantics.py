@@ -30,7 +30,7 @@ from .evaltree import (
     UNDEF,
     leaf_kinds,
     node,
-    replace_leaves,
+    subst,
 )
 
 _PLACEHOLDERS = frozenset(("D", "D1", "D2"))
@@ -41,65 +41,43 @@ def _check_no_placeholders(x: EvalTree) -> None:
         raise ValueError("tree contains placeholder leaves")
 
 
-# Tree-level composition of the evaluation clauses.  fe / fe_u are thin
-# recursions over these; the axiom checker composes trees directly.
-_NOT_CACHE: dict[EvalTree, EvalTree] = {}
-_TF_CACHE: dict[EvalTree, EvalTree] = {}
-_AND_CACHE: dict[tuple, EvalTree] = {}
-_OR_CACHE: dict[tuple, EvalTree] = {}
-
-
 def tree_not(x: EvalTree) -> EvalTree:
-    r = _NOT_CACHE.get(x)
-    if r is None:
-        r = replace_leaves(x, {"T": FALSE, "F": TRUE})
-        _NOT_CACHE[x] = r
-    return r
-
-
-def _to_false(x: EvalTree) -> EvalTree:
-    r = _TF_CACHE.get(x)
-    if r is None:
-        r = replace_leaves(x, {"T": FALSE})
-        _TF_CACHE[x] = r
-    return r
+    return subst(x, FALSE, TRUE)
 
 
 def tree_and(x: EvalTree, y: EvalTree) -> EvalTree:
-    key = (x, y)
-    r = _AND_CACHE.get(key)
-    if r is None:
-        r = replace_leaves(x, {"T": y, "F": _to_false(y)})
-        _AND_CACHE[key] = r
-    return r
+    return subst(x, y, subst(y, FALSE, FALSE))
 
 
 def tree_or(x: EvalTree, y: EvalTree) -> EvalTree:
-    key = (x, y)
-    r = _OR_CACHE.get(key)
-    if r is None:
-        r = replace_leaves(x, {"T": replace_leaves(y, {"F": TRUE}), "F": y})
-        _OR_CACHE[key] = r
-    return r
+    return subst(x, subst(y, TRUE, TRUE), y)
+
+
+def fe_open(t: syntax.Expr, env: dict[str, EvalTree]) -> EvalTree:
+    """The full evaluation tree of t, each variable's tree read from env."""
+    cls = type(t)
+    if cls is syntax.FullAnd:
+        return tree_and(fe_open(t.left, env), fe_open(t.right, env))
+    if cls is syntax.FullOr:
+        return tree_or(fe_open(t.left, env), fe_open(t.right, env))
+    if cls is syntax.Not:
+        return tree_not(fe_open(t.operand, env))
+    if cls is syntax.Atom:
+        return node(t.name, TRUE, FALSE)
+    if cls is syntax.Var and t.name in env:
+        return env[t.name]
+    if cls is syntax.ConstT:
+        return TRUE
+    if cls is syntax.ConstF:
+        return FALSE
+    if cls is syntax.ConstU:
+        return UNDEF
+    raise TypeError(f"not a closed expression: {t!r}")
 
 
 def fe_u(p: syntax.Expr) -> EvalTree:
     """Full evaluation tree over three truth values."""
-    if isinstance(p, syntax.ConstT):
-        return TRUE
-    if isinstance(p, syntax.ConstF):
-        return FALSE
-    if isinstance(p, syntax.ConstU):
-        return UNDEF
-    if isinstance(p, syntax.Atom):
-        return node(p.name, TRUE, FALSE)
-    if isinstance(p, syntax.Not):
-        return tree_not(fe_u(p.operand))
-    if isinstance(p, syntax.FullAnd):
-        return tree_and(fe_u(p.left), fe_u(p.right))
-    if isinstance(p, syntax.FullOr):
-        return tree_or(fe_u(p.left), fe_u(p.right))
-    raise TypeError(f"not a closed expression: {p!r}")
+    return fe_open(p, {})
 
 
 _LA_CACHE: dict[tuple, EvalTree] = {}
@@ -348,18 +326,23 @@ def evaluate(logic: Logic, p: syntax.Expr, beta=None) -> EvalTree:
     """The evaluation tree of p in the given logic.
 
     A U-free p takes the direct route: fe_u(p) itself, or the perfect tree
-    over the logic's atom order.  A p with U has the static tree U, and
-    otherwise takes the definitional route, from_full(logic, fe_u(p)).
+    over the logic's atom order.  With U, memo(fe_u(p)) is the all-U chain
+    over the atoms before the leftmost U and the static tree is U, both
+    without building fe_u(p), which may be exponential.
     """
-    if syntax.contains_u(p):
-        if not logic.allows_u:
-            raise ValueError(f"logic {logic} accepts only U-free expressions")
-        if logic.tree in (SORTED, SHARED):
-            return UNDEF  # without building fe_u(p), which may be exponential
-        return from_full(logic, fe_u(p))
-    kind = logic.tree
+    if beta is not None:
+        logic = Logic(logic.name, beta)  # ValueError unless the logic is sfel
+    kind, has_u = logic.tree, syntax.contains_u(p)
+    if has_u and not logic.allows_u:
+        raise ValueError(f"logic {logic} accepts only U-free expressions")
     if kind is FREE:
         return fe_u(p)
+    if has_u:
+        t = UNDEF
+        if kind is MEMO:
+            for a in reversed(syntax.atoms_before_u(p)):
+                t = node(a, t, t)
+        return t
     if kind is MEMO:
         return perfect_tree(syntax.atoms_of(p), p)
     return perfect_tree(_static_order(logic, beta, syntax.alphabet(p)), p)

@@ -277,6 +277,15 @@ def atoms_of(e: Expr) -> tuple[str, ...]:
     return tuple(names)
 
 
+def atoms_before_u(e: Expr) -> tuple[str, ...]:
+    """The atoms of e whose first occurrence is left of its leftmost U."""
+    atoms_of(e)  # TypeError unless e is closed
+    leaves = _leaves(e)
+    if UNDEF in leaves:
+        leaves = leaves[: leaves.index(UNDEF)]
+    return tuple(t.name for t in leaves if type(t) is Atom)
+
+
 def alphabet(e: Expr) -> set[str]:
     """The set of atoms occurring in e."""
     return set(atoms_of(e))

@@ -10,9 +10,12 @@ property for every expression within the bound.
 """
 
 import gc
+import importlib
+import pkgutil
 import random
 import time
 
+import fel
 from fel import axioms, fnf, invert, models, normalforms, semantics, syntax
 from fel.evaltree import FALSE, TRUE, UNDEF, Leaf, node
 from fel.fnf import FnfCategory
@@ -53,6 +56,25 @@ def _clear_fel_caches():
             if isinstance(val, dict) and (name.endswith("_CACHE") or name == "_READ_BACK"):
                 val.clear()
     gc.collect()
+
+
+def test_clear_fel_caches_clears_every_computed_cache():
+    # Every private module-level dict of fel is a unique table or a computed
+    # cache, so a cache the helper does not clear was renamed past it.
+    unique = {"fel.evaltree._NODES", "fel.evaltree._LEAVES"}
+    caches = {}
+    for info in pkgutil.iter_modules(fel.__path__):
+        mod = importlib.import_module(f"fel.{info.name}")
+        for name, val in vars(mod).items():
+            qualified = f"{mod.__name__}.{name}"
+            if (name.startswith("_") and not name.startswith("__")
+                    and isinstance(val, dict) and qualified not in unique):
+                caches[qualified] = val
+    marker = object()
+    for table in caches.values():
+        table[marker] = None
+    _clear_fel_caches()
+    assert [name for name, table in caches.items() if marker in table] == []
 
 
 def _paths(t, acc=()):
@@ -308,7 +330,7 @@ def test_criterion_07_u_normal_forms_exact():
         assert n == fnf.u_sigma(sigma)
         assert semantics.fe_u(n) == tree
         m = normalforms.normalize_mfelu(rep)
-        dedup = "".join(dict.fromkeys(sigma))
+        dedup = tuple(dict.fromkeys(sigma))
         assert m.sigma == dedup
         assert m.body == fnf.u_sigma(dedup)
     elapsed = time.monotonic() - start

@@ -20,10 +20,12 @@ from fel.evaltree import (
     node,
     render,
     replace_leaves,
+    subst,
     tree_from_json,
     tree_to_json,
 )
-from fel.semantics import fe, mfe
+from fel.scl import sc_and, sc_or
+from fel.semantics import fe, mfe, tree_and, tree_not, tree_or
 from fel.syntax import mk_and, mk_atom, mk_not, mk_or
 
 
@@ -174,3 +176,10 @@ def test_replace_leaves_builds_interned_trees(p, q, r):
     for mapping in ({"T": y}, {"F": z}, {"T": y, "F": z}, {"T": FALSE, "F": TRUE}):
         shapes = {k: _shape(v) for k, v in mapping.items()}
         assert replace_leaves(x, mapping) is _build(_substitute(_shape(x), shapes))
+    # subst and the connectives on it build what their definitions build
+    assert subst(x, y, z) is replace_leaves(x, {"T": y, "F": z})
+    assert tree_not(x) is replace_leaves(x, {"T": FALSE, "F": TRUE})
+    assert tree_and(x, y) is replace_leaves(x, {"T": y, "F": replace_leaves(y, {"T": FALSE})})
+    assert tree_or(x, y) is replace_leaves(x, {"T": replace_leaves(y, {"F": TRUE}), "F": y})
+    assert sc_and(x, y) is replace_leaves(x, {"T": y})
+    assert sc_or(x, y) is replace_leaves(x, {"F": y})

@@ -18,7 +18,7 @@ from fel.normalforms import (
     t_sigma,
 )
 from fel import fnf
-from fel.evaltree import UNDEF
+from fel.evaltree import UNDEF, node
 from fel.fnf import u_sigma
 from fel.syntax import FALSE, TRUE, mk_atom
 
@@ -45,12 +45,12 @@ def test_sigma_builders():
 
 def test_normalize_mfel_examples():
     nf = normalize_mfel(P("a"))
-    assert nf.sigma == "a" and nf.body == h(A, TRUE, FALSE)
+    assert nf.sigma == ("a",) and nf.body == h(A, TRUE, FALSE)
     nf = normalize_mfel(P("a & b"))
-    assert nf.sigma == "ab"
+    assert nf.sigma == ("a", "b")
     assert nf.body == h(A, h(B, TRUE, FALSE), h(B, FALSE, FALSE))
     nf = normalize_mfel(P("T"))
-    assert nf.sigma == "" and nf.body is TRUE
+    assert nf.sigma == () and nf.body is TRUE
     with pytest.raises(ValueError):
         normalize_mfel(P("a & U"))
 
@@ -58,7 +58,7 @@ def test_normalize_mfel_examples():
 @given(exprs(allow_u=False))
 def test_normalize_mfel_sound(e):
     nf = normalize_mfel(e)
-    assert nf.sigma == syntax.str_of(e)
+    assert nf.sigma == syntax.atoms_of(e)
     assert semantics.mfe(nf.body) == semantics.mfe(e)
 
 
@@ -71,12 +71,12 @@ def test_normalize_mfel_unique(e1, e2):
 
 def test_normalize_mfelu_examples():
     nf = normalize_mfelu(P("a | U"))
-    assert nf.sigma == "a" and nf.body == P("a & U")
+    assert nf.sigma == ("a",) and nf.body == P("a & U")
     assert normalize_mfelu(P("a & b")) == normalize_mfel(P("a & b"))
     nf = normalize_mfelu(P("U"))
-    assert nf.sigma == "" and nf.body is syntax.UNDEF
+    assert nf.sigma == () and nf.body is syntax.UNDEF
     # repeated atoms dedup in the memorised sigma
-    assert normalize_mfelu(P("a & (a & U)")).sigma == "a"
+    assert normalize_mfelu(P("a & (a & U)")).sigma == ("a",)
 
 
 def test_undefined_normal_form_of_a_long_chain():
@@ -85,7 +85,7 @@ def test_undefined_normal_form_of_a_long_chain():
     atoms = [f"a{i}" for i in range(40)]
     p = P(" & ".join(atoms) + " & U")
     assert fnf.normalize_ffelu(p) is u_sigma(atoms)
-    assert normalize_mfelu(p) == SigmaNormalForm("".join(atoms), u_sigma(atoms))
+    assert normalize_mfelu(p) == SigmaNormalForm(tuple(atoms), u_sigma(atoms))
 
 
 def test_normalize_clfel2_examples():
@@ -98,22 +98,22 @@ def test_normalize_clfel2_examples():
 @given(exprs(allow_u=False))
 def test_normalize_clfel2_sound(e):
     nf = normalize_clfel2(e)
-    assert nf.sigma == "".join(sorted(syntax.alphabet(e)))
+    assert nf.sigma == tuple(sorted(syntax.alphabet(e)))
     assert semantics.clfe(nf.body) == semantics.clfe(e)
 
 
 def test_normalize_clfelu():
-    assert normalize_clfelu(P("U & a")) == SigmaNormalForm("", syntax.UNDEF)
+    assert normalize_clfelu(P("U & a")) == SigmaNormalForm((), syntax.UNDEF)
     assert normalize_clfelu(P("a & b")) == normalize_clfel2(P("a & b"))
 
 
 def test_permute_examples():
-    src = SigmaNormalForm("ab", h(A, h(B, TRUE, FALSE), h(B, FALSE, TRUE)))
+    src = SigmaNormalForm(("a", "b"), h(A, h(B, TRUE, FALSE), h(B, FALSE, TRUE)))
     out = permute_sigma_nf(src, "ba")
-    assert out.sigma == "ba"
+    assert out.sigma == ("b", "a")
     assert out.body == h(B, h(A, TRUE, FALSE), h(A, FALSE, TRUE))
 
-    src = SigmaNormalForm("ab", h(A, h(B, TRUE, TRUE), h(B, FALSE, FALSE)))
+    src = SigmaNormalForm(("a", "b"), h(A, h(B, TRUE, TRUE), h(B, FALSE, FALSE)))
     assert permute_sigma_nf(src, "ba").body == h(B, h(A, TRUE, FALSE), h(A, TRUE, FALSE))
 
     nf = normalize_mfel(P("a"))
@@ -128,7 +128,7 @@ def test_permute_three_atoms_all_orders():
     for perm in itertools.permutations("abc"):
         target = "".join(perm)
         out = permute_sigma_nf(nf, target)
-        assert out.sigma == target
+        assert out.sigma == perm
         assert syntax.str_of(out.body) == target
         assert semantics.clfe(out.body) == semantics.clfe(nf.body)
 
@@ -136,7 +136,7 @@ def test_permute_three_atoms_all_orders():
 def test_permute_multi_character_atoms():
     nf = normalize_mfel(P("a0 & b"))
     out = permute_sigma_nf(nf, ["b", "a0"])
-    assert out.sigma == "ba0"
+    assert out.sigma == ("b", "a0")
     assert syntax.atoms_of(out.body) == ("b", "a0")
     assert semantics.clfe(out.body) is semantics.clfe(nf.body)
     assert permute_sigma_nf(nf, ("a0", "b")) == nf
@@ -161,11 +161,18 @@ def test_normalize_wide_expressions(n):
     p = _wide(n)
     x = semantics.fe(p)
     nf = normalize_mfel(p)
-    assert nf.sigma == syntax.str_of(p)
+    assert nf.sigma == syntax.atoms_of(p)
     assert semantics.mfe(nf.body) is semantics.memo(x)
+    # mfelu's tree of the body with U is the chain over sigma, every leaf U
+    u = syntax.mk_and(nf.body, syntax.UNDEF)
+    chain = UNDEF
+    for a in reversed(nf.sigma):
+        chain = node(a, chain, chain)
+    assert semantics.mfe_u(u) is chain
+    assert normalize_mfelu(u) == SigmaNormalForm(nf.sigma, u_sigma(nf.sigma))
     beta = sorted(syntax.alphabet(p))
     nf = normalize_clfel2(p)
-    assert nf.sigma == "".join(beta)
+    assert nf.sigma == tuple(beta)
     assert semantics.clfe(nf.body) is semantics.sfe_tree(beta, x)
     # nor may clfel's tree of the body with U, which is U
     u = syntax.mk_and(nf.body, syntax.UNDEF)

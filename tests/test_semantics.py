@@ -176,6 +176,8 @@ def test_logic_by_name():
         logic_by_name("boolean")
     with pytest.raises(ValueError):
         logic_by_name("ffel", "ab")
+    with pytest.raises(ValueError, match="logic clfel2 does not take an alphabet"):
+        evaluate(CLFEL2, P("a"), ("b", "a"))
     for beta in ("aB", ["a", "0"]):
         with pytest.raises(ValueError, match="invalid atom name"):
             SFEL(beta)
@@ -190,6 +192,12 @@ def test_evaluate_u_gate():
         evaluate(FFEL, P("a & U"))
     assert evaluate(FFELU, P("a & U")) == node("a", UNDEF, UNDEF)
     assert evaluate(CLFEL, P("a & U")) is UNDEF
+    # an open term has no tree, with U or without
+    x = syntax.Var("x")
+    for p in (syntax.mk_and(x, syntax.UNDEF), syntax.mk_and(syntax.UNDEF, x)):
+        for logic in (FFELU, MFELU):
+            with pytest.raises(TypeError, match="not a closed expression"):
+                evaluate(logic, p)
 
 
 def test_equiv_verdicts():
