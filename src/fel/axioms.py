@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import semantics, syntax
 from .evaltree import EvalTree
-from .semantics import Logic, both_sides, fe_open, from_full, tree_atoms
+from .semantics import FREE, Logic, both_sides, fe_open, from_full, memo_open, tree_atoms
 from .syntax import Expr, Var
 
 _VAR_NAMES = ("x", "y", "z", "u", "v", "w")
@@ -72,17 +72,21 @@ def variables_of(t: Expr) -> set[str]:
     return set()
 
 
+def _map_leaves(e: Expr, f) -> Expr:
+    """e with every leaf t (an atom, a constant or a variable) replaced by f(t)."""
+    if isinstance(e, syntax.Not):
+        return syntax.mk_not(_map_leaves(e.operand, f))
+    if isinstance(e, syntax.FullAnd):
+        return syntax.mk_and(_map_leaves(e.left, f), _map_leaves(e.right, f))
+    if isinstance(e, syntax.FullOr):
+        return syntax.mk_or(_map_leaves(e.left, f), _map_leaves(e.right, f))
+    return f(e)
+
+
 def _to_open(e: Expr) -> Expr:
     """Reread the reserved atom names x,y,z,u,v,w as metavariables."""
-    if isinstance(e, syntax.Atom):
-        return Var(e.name) if e.name in _VAR_NAMES else e
-    if isinstance(e, syntax.Not):
-        return syntax.mk_not(_to_open(e.operand))
-    if isinstance(e, syntax.FullAnd):
-        return syntax.mk_and(_to_open(e.left), _to_open(e.right))
-    if isinstance(e, syntax.FullOr):
-        return syntax.mk_or(_to_open(e.left), _to_open(e.right))
-    return e
+    opened = lambda t: Var(t.name) if isinstance(t, syntax.Atom) and t.name in _VAR_NAMES else t
+    return _map_leaves(e, opened)
 
 
 def _eq(name: str, lhs: str, rhs: str, signature: str = WITHOUT_U) -> Equation:
@@ -95,18 +99,8 @@ def instantiate(eq: Equation, assignment: dict[str, Expr]) -> tuple[Expr, Expr]:
     if missing:
         raise ValueError(f"assignment misses variables: {', '.join(sorted(missing))}")
 
-    def subst(t: Expr) -> Expr:
-        if isinstance(t, Var):
-            return assignment[t.name]
-        if isinstance(t, syntax.Not):
-            return syntax.mk_not(subst(t.operand))
-        if isinstance(t, syntax.FullAnd):
-            return syntax.mk_and(subst(t.left), subst(t.right))
-        if isinstance(t, syntax.FullOr):
-            return syntax.mk_or(subst(t.left), subst(t.right))
-        return t
-
-    return subst(eq.lhs), subst(eq.rhs)
+    closed = lambda t: assignment[t.name] if isinstance(t, Var) else t
+    return _map_leaves(eq.lhs, closed), _map_leaves(eq.rhs, closed)
 
 
 # --- the axiom tables ---
@@ -295,7 +289,10 @@ class Random:
 # --- instance evaluation at the tree level ---
 
 def _check_instance(logic, eq, trees):
-    lt, rt = fe_open(eq.lhs, trees), fe_open(eq.rhs, trees)
+    # memo_open is exact, memo(x[T:=y, F:=z]) being memo(memo(x)[T:=memo(y), F:=memo(z)]),
+    # and from_full(logic, memo(x)) is from_full(logic, x) unless the logic is free.
+    walk = fe_open if logic.tree is FREE else memo_open
+    lt, rt = walk(eq.lhs, trees), walk(eq.rhs, trees)
     return both_sides(logic, lt, rt, from_full, tree_atoms)
 
 
@@ -341,7 +338,7 @@ def _classes(logic: Logic, atoms: tuple[str, ...], depth: int, allow_u: bool):
         tree = semantics.fe_u(t)
         k = from_full(logic, tree)
         if k not in seen:
-            seen[k] = (t, tree)
+            seen[k] = (t, tree if logic.tree is FREE else semantics.memo(tree))
     reps = list(seen.values())
     _CLASS_CACHE[key] = reps
     return reps

@@ -36,11 +36,6 @@ from .evaltree import (
 _PLACEHOLDERS = frozenset(("D", "D1", "D2"))
 
 
-def _check_no_placeholders(x: EvalTree) -> None:
-    if leaf_kinds(x) & _PLACEHOLDERS:
-        raise ValueError("tree contains placeholder leaves")
-
-
 def tree_not(x: EvalTree) -> EvalTree:
     return subst(x, FALSE, TRUE)
 
@@ -55,24 +50,36 @@ def tree_or(x: EvalTree, y: EvalTree) -> EvalTree:
 
 def fe_open(t: syntax.Expr, env: dict[str, EvalTree]) -> EvalTree:
     """The full evaluation tree of t, each variable's tree read from env."""
+    return _open(t, env, None)
+
+
+def memo_open(t: syntax.Expr, env: dict[str, EvalTree]) -> EvalTree:
+    """memo(fe_open(t, env)), memorising each connective's tree so that every tree stays small."""
+    return _open(t, env, memo)
+
+
+def _open(t: syntax.Expr, env: dict[str, EvalTree], reduce) -> EvalTree:
+    """The evaluation clauses; reduce, unless None, maps each connective's tree."""
     cls = type(t)
     if cls is syntax.FullAnd:
-        return tree_and(fe_open(t.left, env), fe_open(t.right, env))
-    if cls is syntax.FullOr:
-        return tree_or(fe_open(t.left, env), fe_open(t.right, env))
-    if cls is syntax.Not:
-        return tree_not(fe_open(t.operand, env))
-    if cls is syntax.Atom:
+        r = tree_and(_open(t.left, env, reduce), _open(t.right, env, reduce))
+    elif cls is syntax.FullOr:
+        r = tree_or(_open(t.left, env, reduce), _open(t.right, env, reduce))
+    elif cls is syntax.Not:
+        r = tree_not(_open(t.operand, env, reduce))
+    elif cls is syntax.Atom:
         return node(t.name, TRUE, FALSE)
-    if cls is syntax.Var and t.name in env:
+    elif cls is syntax.Var and t.name in env:
         return env[t.name]
-    if cls is syntax.ConstT:
+    elif cls is syntax.ConstT:
         return TRUE
-    if cls is syntax.ConstF:
+    elif cls is syntax.ConstF:
         return FALSE
-    if cls is syntax.ConstU:
+    elif cls is syntax.ConstU:
         return UNDEF
-    raise TypeError(f"not a closed expression: {t!r}")
+    else:
+        raise TypeError(f"not a closed expression: {t!r}")
+    return r if reduce is None else reduce(r)
 
 
 def fe_u(p: syntax.Expr) -> EvalTree:
@@ -80,48 +87,43 @@ def fe_u(p: syntax.Expr) -> EvalTree:
     return fe_open(p, {})
 
 
-_LA_CACHE: dict[tuple, EvalTree] = {}
-_RA_CACHE: dict[tuple, EvalTree] = {}
+_PRUNE_CACHE: dict[tuple, EvalTree] = {}
 _MEMO_CACHE: dict[EvalTree, EvalTree] = {}
+
+
+def _prune(atom: str, x: EvalTree, side: str) -> EvalTree:
+    """x with every node labelled atom replaced by its child on side."""
+    if isinstance(x, Leaf):
+        return x
+    key = (atom, x, side)
+    r = _PRUNE_CACHE.get(key)
+    if r is None:
+        if x.atom == atom:
+            r = _prune(atom, getattr(x, side), side)
+        else:
+            r = node(x.atom, _prune(atom, x.left, side), _prune(atom, x.right, side))
+        _PRUNE_CACHE[key] = r
+    return r
 
 
 def la(atom: str, x: EvalTree) -> EvalTree:
     """Prune every node labelled atom to its left child."""
-    if isinstance(x, Leaf):
-        return x
-    key = (atom, x)
-    r = _LA_CACHE.get(key)
-    if r is None:
-        if x.atom == atom:
-            r = la(atom, x.left)
-        else:
-            r = node(x.atom, la(atom, x.left), la(atom, x.right))
-        _LA_CACHE[key] = r
-    return r
+    return _prune(atom, x, "left")
 
 
 def ra(atom: str, x: EvalTree) -> EvalTree:
     """Prune every node labelled atom to its right child."""
-    if isinstance(x, Leaf):
-        return x
-    key = (atom, x)
-    r = _RA_CACHE.get(key)
-    if r is None:
-        if x.atom == atom:
-            r = ra(atom, x.right)
-        else:
-            r = node(x.atom, ra(atom, x.left), ra(atom, x.right))
-        _RA_CACHE[key] = r
-    return r
+    return _prune(atom, x, "right")
 
 
 def memo(x: EvalTree) -> EvalTree:
     """Memorisation: drop re-evaluations of an atom along each path."""
-    _check_no_placeholders(x)
-    if isinstance(x, Leaf):
-        return x
     r = _MEMO_CACHE.get(x)
     if r is None:
+        if leaf_kinds(x) & _PLACEHOLDERS:
+            raise ValueError("tree contains placeholder leaves")
+        if isinstance(x, Leaf):
+            return x
         r = node(x.atom, memo(la(x.atom, x.left)), memo(ra(x.atom, x.right)))
         _MEMO_CACHE[x] = r
     return r

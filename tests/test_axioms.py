@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fel import axioms, semantics, syntax
@@ -138,3 +140,31 @@ def test_unbounded_sigma_lemmas_at_small_sigma():
         # evaluation aborts at U, so a right operand is never reached
         assert semantics.equiv(semantics.FFELU, syntax.mk_and(us, P("d")), us)
         assert semantics.equiv(semantics.FFELU, syntax.mk_or(us, P("d")), us)
+
+
+LOGICS = [semantics.logic_by_name(name) for name in semantics.LOGICS] + [semantics.SFEL(("b", "a"))]
+
+
+@pytest.mark.parametrize("logic", LOGICS, ids=str)
+def test_instance_trees_are_the_logic_trees(logic):
+    # Every logic but a free one composes memorised trees; each side must
+    # still get the tree that its instance has by definition.
+    rng = random.Random(4)
+    eqs = [*BUILTIN_SETS["mf"], *BUILTIN_SETS["crux"], *BUILTIN_SETS["eqffelu"]]
+    for eq in eqs:
+        if eq.signature == axioms.WITH_U and not logic.allows_u:
+            continue
+        names = sorted(variables_of(eq.lhs) | variables_of(eq.rhs))
+        for _ in range(15):
+            atoms = logic.beta or ("a", "b", "c")
+            terms = {n: axioms._random_term(rng, atoms, logic.allows_u, 3) for n in names}
+            trees = {n: semantics.fe_u(t) for n, t in terms.items()}
+            l, r = instantiate(eq, terms)
+            want = semantics.both_sides(logic, l, r, semantics.evaluate, syntax.alphabet)
+            assert axioms._check_instance(logic, eq, trees) == want, (eq.name, terms)
+    comm = axioms._eq("Comm", "x & y", "y & x")
+    v = check_validity(logic, comm, Exhaustive(depth=2))
+    if v.status == "counterexample":
+        l, r = instantiate(comm, v.assignment)
+        want = semantics.both_sides(logic, l, r, semantics.evaluate, syntax.alphabet)
+        assert (v.left_tree, v.right_tree) == want

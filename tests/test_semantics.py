@@ -24,6 +24,7 @@ from fel.semantics import (
     la,
     logic_by_name,
     memo,
+    memo_open,
     mfe,
     mfe_u,
     ra,
@@ -123,6 +124,11 @@ def test_mfe_perfect_over_str_of(e):
     sigma = syntax.str_of(e)
     for path in _paths(mfe(e)):
         assert "".join(path) == sigma
+
+
+@given(exprs(allow_u=True))
+def test_memo_open_is_memo_of_the_full_tree(e):
+    assert memo_open(e, {}) is memo(fe_u(e))
 
 
 def test_memo_rejects_placeholders():
