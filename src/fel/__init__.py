@@ -49,5 +49,6 @@ from .axioms import (
 )
 from .models import FiniteModel, check_equation_in_model, find_model, independence_report
 from .scl import bridge_check, se, translate_t
+from .tables import reset
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,7 +18,7 @@ import itertools
 import random as _random_mod
 from dataclasses import dataclass, field
 
-from . import semantics, syntax
+from . import semantics, syntax, tables
 from .evaltree import EvalTree
 from .semantics import FREE, Logic, both_sides, fe_open, from_full, memo_open, tree_atoms
 from .syntax import Expr, Var
@@ -298,8 +298,8 @@ def _check_instance(logic, eq, trees):
 
 # --- closed-term universes and their per-logic quotients ---
 
-_UNIVERSE_CACHE: dict[tuple, list[Expr]] = {}
-_CLASS_CACHE: dict[tuple, list] = {}
+_UNIVERSE_CACHE: dict[tuple, list[Expr]] = tables.computed()
+_CLASS_CACHE: dict[tuple, list] = tables.computed()
 
 
 def _universe(atoms: tuple[str, ...], depth: int, allow_u: bool) -> list[Expr]:

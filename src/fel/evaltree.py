@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from typing import Iterator, Mapping
 
+from . import tables
 from .syntax import Atom
 
 LEAF_KINDS = ("T", "F", "U", "D", "D1", "D2")
@@ -73,11 +74,9 @@ def _new_leaf(kind: str) -> Leaf:
 
 # Trees are hash-consed through these unique tables, so equal trees are
 # always the same object and share all their subtrees.  Equality is
-# identity, so build trees only through node()/leaf().  Nothing may drop an
-# entry of _NODES while a tree built from it is live, or two equal trees
-# would compare unequal.
+# identity, so build trees only through node()/leaf().
 _LEAVES = {kind: _new_leaf(kind) for kind in LEAF_KINDS}
-_NODES: dict[tuple, Node] = {}
+_NODES: dict[tuple, Node] = tables.unique()
 
 TRUE = _LEAVES["T"]
 FALSE = _LEAVES["F"]
@@ -124,7 +123,7 @@ def replace_leaves(x: EvalTree, mapping: Mapping[str, EvalTree]) -> EvalTree:
 
 
 # subst's computed table, keyed by the call; it serves every connective.
-_SUBST_CACHE: dict[tuple, EvalTree] = {}
+_SUBST_CACHE: dict[tuple, EvalTree] = tables.computed()
 
 
 def subst(x: EvalTree, kt: EvalTree, kf: EvalTree) -> EvalTree:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from . import semantics, syntax
+from . import semantics, syntax, tables
 from .evaltree import Leaf, Node
 from .syntax import FALSE, TRUE, UNDEF, Atom, FullAnd, FullOr, Not, mk_and, mk_not, mk_or
 
@@ -33,7 +33,7 @@ class FnfCategory(Enum):
 _STAR = (FnfCategory.L_TERM, FnfCategory.STAR_CONJ, FnfCategory.STAR_DISJ)
 _TOP = (FnfCategory.T_TERM, FnfCategory.F_TERM, FnfCategory.T_STAR_TERM)
 
-_CATEGORY_CACHE: dict[syntax.Expr, FnfCategory] = {}
+_CATEGORY_CACHE: dict[syntax.Expr, FnfCategory] = tables.computed()
 
 
 def classify(e: syntax.Expr) -> FnfCategory:
@@ -82,12 +82,12 @@ def _require(e: syntax.Expr, cats) -> FnfCategory:
     return c
 
 
-_NEG_CACHE: dict[syntax.Expr, syntax.Expr] = {}
-_NEG1_CACHE: dict[syntax.Expr, syntax.Expr] = {}
-_AND_CACHE: dict[tuple, syntax.Expr] = {}
-_AND1_CACHE: dict[tuple, syntax.Expr] = {}
-_AND2_CACHE: dict[tuple, syntax.Expr] = {}
-_AND3_CACHE: dict[tuple, syntax.Expr] = {}
+_NEG_CACHE: dict[syntax.Expr, syntax.Expr] = tables.computed()
+_NEG1_CACHE: dict[syntax.Expr, syntax.Expr] = tables.computed()
+_AND_CACHE: dict[tuple, syntax.Expr] = tables.computed()
+_AND1_CACHE: dict[tuple, syntax.Expr] = tables.computed()
+_AND2_CACHE: dict[tuple, syntax.Expr] = tables.computed()
+_AND3_CACHE: dict[tuple, syntax.Expr] = tables.computed()
 
 
 def fnf_negate(e: syntax.Expr) -> syntax.Expr:

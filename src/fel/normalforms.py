@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import semantics, syntax
+from . import semantics, syntax, tables
 from .evaltree import Leaf
 from .fnf import all_u_labels, normalize_ffel, normalize_ffelu, u_sigma
 from .syntax import Expr, FALSE, TRUE, mk_and, mk_atom, mk_not, mk_or
@@ -70,7 +70,7 @@ def f_tilde_sigma(sigma) -> Expr:
     return e
 
 
-_READ_BACK: dict = {}
+_READ_BACK: dict = tables.computed()
 
 
 def _read_back(tree) -> Expr:

@@ -9,47 +9,44 @@ tree (se(t(p)) = fe(p)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import semantics, syntax
 from .evaltree import EvalTree, FALSE, TRUE, node, subst
 
 
-class SclExpr:
-    """Base class of short-circuit expression nodes."""
+class SclExpr(syntax.Interned):
+    """Base class of short-circuit expression nodes, hash-consed like Expr."""
+    __slots__ = ()
 
     def __repr__(self):
         return f"<scl {print_scl(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
 class Atom(SclExpr):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, repr=False)
 class ConstT(SclExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class ConstF(SclExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Not(SclExpr):
+    __slots__ = ("operand",)
     operand: SclExpr
 
 
-@dataclass(frozen=True, repr=False)
 class ScAnd(SclExpr):
+    __slots__ = ("left", "right")
     left: SclExpr
     right: SclExpr
 
 
-@dataclass(frozen=True, repr=False)
 class ScOr(SclExpr):
+    __slots__ = ("left", "right")
     left: SclExpr
     right: SclExpr
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import syntax
+from . import syntax, tables
 from .evaltree import (
     EvalTree,
     FALSE,
@@ -87,8 +87,8 @@ def fe_u(p: syntax.Expr) -> EvalTree:
     return fe_open(p, {})
 
 
-_PRUNE_CACHE: dict[tuple, EvalTree] = {}
-_MEMO_CACHE: dict[EvalTree, EvalTree] = {}
+_PRUNE_CACHE: dict[tuple, EvalTree] = tables.computed()
+_MEMO_CACHE: dict[EvalTree, EvalTree] = tables.computed()
 
 
 def _prune(atom: str, x: EvalTree, side: str) -> EvalTree:
@@ -233,10 +233,10 @@ def f_tilde_tree(beta) -> EvalTree:
 
 def sfe_tree(beta, x: EvalTree) -> EvalTree:
     """The static tree over beta of a full evaluation tree x."""
-    return memo(tree_or(f_tilde_tree(beta), x))
+    return memo(subst(f_tilde_tree(beta), TRUE, x))
 
 
-_ATOMS_CACHE: dict[EvalTree, frozenset] = {}
+_ATOMS_CACHE: dict[EvalTree, frozenset] = tables.computed()
 
 
 def tree_atoms(x: EvalTree) -> frozenset:

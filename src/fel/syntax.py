@@ -11,27 +11,24 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
+from . import tables
+
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _set = object.__setattr__
 
 
-class Expr:
-    """Base class of all expression nodes.
+class Interned:
+    """Base class of Expr and scl.SclExpr: immutable and hash-consed.
 
-    Expressions are immutable and hash-consed: each class keeps a unique
-    table keyed by the tuple of its fields, and every construction goes
-    through Expr.__new__, which returns the one object with those fields.
-    Equal expressions are therefore the same object, and equality and
-    hashing are object identity, inherited from object.  Nothing may drop
-    an entry of a unique table while an expression built from it is live,
-    or two equal expressions would compare unequal.
+    Each class keeps a unique table keyed by the tuple of its fields, and
+    __new__ returns the one object with those fields, so equality is identity.
     """
 
     __slots__ = ()
-    _table: dict[tuple, Expr]
+    _table: dict[tuple, Interned]
 
     def __init_subclass__(cls):
-        cls._table = {}
+        cls._table = tables.unique()
 
     def __new__(cls, *fields):
         e = cls._table.get(fields)
@@ -52,6 +49,11 @@ class Expr:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Expr(Interned):
+    """Base class of all expression nodes."""
+    __slots__ = ()
 
     def __repr__(self):
         return f"<expr {print_expr(self)}>"

@@ -9,14 +9,13 @@ programming over (tree, value) classes per operator count verifies the
 property for every expression within the bound.
 """
 
-import gc
 import importlib
 import pkgutil
 import random
 import time
 
 import fel
-from fel import axioms, fnf, invert, models, normalforms, semantics, syntax
+from fel import axioms, evaltree, fnf, invert, models, normalforms, semantics, syntax, tables
 from fel.evaltree import FALSE, TRUE, UNDEF, Leaf, node
 from fel.fnf import FnfCategory
 from fel.semantics import tree_and, tree_not, tree_or
@@ -28,53 +27,29 @@ P = syntax.parse
 A, B = syntax.mk_atom("a"), syntax.mk_atom("b")
 
 
-def _clear_fel_caches():
-    """Drop the global memo tables between heavy tests.
-
-    Evaluation trees and expressions are hash-consed and compare by
-    identity, so their unique tables (evaltree._NODES and the per-class
-    tables of the syntax module) are kept: clearing one while a tree or an
-    expression built from it is live would let two equal terms compare
-    unequal.  Every computed cache is purely a speed/space tradeoff, so
-    those are safe to clear.
-    """
-    import fel.axioms
-    import fel.evaltree
-    import fel.fnf
-    import fel.normalforms
-    import fel.scl
-    import fel.semantics
-    import fel.syntax
-
-    mods = (fel.syntax, fel.evaltree, fel.semantics, fel.fnf,
-            fel.normalforms, fel.scl, fel.axioms)
-    keep = ("_LEAVES",)
-    for mod in mods:
-        for name, val in vars(mod).items():
-            if not name.startswith("_") or name in keep:
-                continue
-            if isinstance(val, dict) and (name.endswith("_CACHE") or name == "_READ_BACK"):
-                val.clear()
-    gc.collect()
-
-
-def test_clear_fel_caches_clears_every_computed_cache():
-    # Every private module-level dict of fel is a unique table or a computed
-    # cache, so a cache the helper does not clear was renamed past it.
-    unique = {"fel.evaltree._NODES", "fel.evaltree._LEAVES"}
-    caches = {}
+def test_every_table_is_made_by_tables():
+    # reset() reaches every table without knowing its name: each private
+    # module-level dict of fel but the constant _LEAVES, and each interned
+    # class's unique table, is made by fel.tables.
+    made = {id(t) for t in tables._COMPUTED + tables._UNIQUE}
+    stray = []
     for info in pkgutil.iter_modules(fel.__path__):
         mod = importlib.import_module(f"fel.{info.name}")
         for name, val in vars(mod).items():
-            qualified = f"{mod.__name__}.{name}"
             if (name.startswith("_") and not name.startswith("__")
-                    and isinstance(val, dict) and qualified not in unique):
-                caches[qualified] = val
+                    and isinstance(val, dict) and val is not evaltree._LEAVES):
+                if id(val) not in made:
+                    stray.append(f"{mod.__name__}.{name}")
+            elif (isinstance(val, type) and issubclass(val, syntax.Interned)
+                    and val is not syntax.Interned):
+                if id(val._table) not in made:
+                    stray.append(f"{mod.__name__}.{name}._table")
+    assert stray == []
     marker = object()
-    for table in caches.values():
+    for table in tables._COMPUTED:
         table[marker] = None
-    _clear_fel_caches()
-    assert [name for name, table in caches.items() if marker in table] == []
+    fel.reset()
+    assert [table for table in tables._COMPUTED if table] == []
 
 
 def _paths(t, acc=()):
@@ -190,8 +165,9 @@ def test_criterion_02_ffel_normalization_exact():
 
     elapsed = time.monotonic() - start
     frontiers.clear()
+    new.clear()
     nf_by_tree.clear()
-    _clear_fel_caches()
+    fel.reset()
     assert elapsed < 300.0
     print(
         f"criterion 2: PASS (exact for all {total} classes of <=6-operator "
@@ -395,8 +371,9 @@ def test_criterion_08_scl_bridge_exact():
     elapsed = time.monotonic() - start
     total = len(seen)
     frontiers.clear()
+    new.clear()
     seen.clear()
-    _clear_fel_caches()
+    fel.reset()
     assert elapsed < 90.0
     print(
         f"criterion 8: PASS (exact; {total} tree classes at <=6 operators, "

@@ -1,11 +1,13 @@
 import copy
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fel import evaltree, syntax
+import fel
+from fel import evaltree, syntax, tables
 from fel.evaltree import (
     FALSE,
     HOLE,
@@ -24,9 +26,11 @@ from fel.evaltree import (
     tree_from_json,
     tree_to_json,
 )
+from fel.fnf import normalize_ffel
+from fel.normalforms import normalize_clfel2, normalize_mfel
 from fel.scl import sc_and, sc_or
-from fel.semantics import fe, mfe, tree_and, tree_not, tree_or
-from fel.syntax import mk_and, mk_atom, mk_not, mk_or
+from fel.semantics import CLFEL2, FFEL, MFEL, evaluate, fe, mfe, tree_and, tree_not, tree_or
+from fel.syntax import mk_and, mk_atom, mk_not, mk_or, parse, print_expr
 
 
 def test_leaf_constructors():
@@ -183,3 +187,47 @@ def test_replace_leaves_builds_interned_trees(p, q, r):
     assert tree_or(x, y) is replace_leaves(x, {"T": replace_leaves(y, {"F": TRUE}), "F": y})
     assert sc_and(x, y) is replace_leaves(x, {"T": y})
     assert sc_or(x, y) is replace_leaves(x, {"F": y})
+
+
+def test_reset_keeps_held_trees_and_expressions():
+    e = parse("a & (b | !c) & d1")
+    t = fe(e)
+    fel.reset()
+    assert node(t.atom, t.left, t.right) is t
+    assert fe(parse("a & (b | !c) & d1")) is t
+    assert parse(print_expr(e)) is e
+
+
+def _fresh_term(rng, leaves):
+    """A random U-free term with the given number of atom leaves over q0-q9."""
+    if leaves == 1:
+        e = mk_atom(f"q{rng.randrange(10)}")
+    else:
+        k = rng.randrange(1, leaves)
+        mk = mk_and if rng.random() < 0.5 else mk_or
+        e = mk(_fresh_term(rng, k), _fresh_term(rng, leaves - k))
+    return mk_not(e) if rng.random() < 0.2 else e
+
+
+def _churn(rng):
+    for _ in range(1000):
+        p = _fresh_term(rng, rng.randint(2, 7))
+        for logic, normalize in ((FFEL, normalize_ffel), (MFEL, normalize_mfel),
+                                 (CLFEL2, normalize_clfel2)):
+            evaluate(logic, p)
+            normalize(p)
+
+
+def test_reset_frees_what_nothing_holds():
+    rng = random.Random(7)
+    fel.reset()
+    held = [len(table) for table in tables._UNIQUE]
+    rounds = []
+    for _ in range(3):
+        _churn(rng)
+        fel.reset()
+        sizes = [len(table) for table in tables._UNIQUE]
+        assert all(n <= m for n, m in zip(sizes, held))
+        assert not any(t.atom.startswith("q") for t in evaltree._NODES.values())
+        rounds.append(sizes)
+    assert rounds[0] == rounds[1] == rounds[2]

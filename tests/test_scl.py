@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -29,6 +32,17 @@ def test_se_examples():
     # right operand replaces only the reachable leaves
     assert se(ScAnd(Atom("a"), Atom("b"))) == node("a", node("b", TRUE, FALSE), FALSE)
     assert se(ScOr(Atom("a"), Atom("b"))) == node("a", TRUE, node("b", TRUE, FALSE))
+
+
+def test_direct_construction_interns():
+    assert ScAnd(Atom("a"), Atom("b")) is ScAnd(Atom("a"), Atom("b"))
+    assert translate_t(P("a | !b")) is translate_t(P("a | !b"))
+    e = ScOr(Atom("a"), SC_TRUE)
+    assert copy.deepcopy(e) is e and pickle.loads(pickle.dumps(e)) is e
+    with pytest.raises(AttributeError):
+        e.left = Atom("b")
+    with pytest.raises(AttributeError):
+        Atom("a").name = "b"
 
 
 def test_se_is_not_full_evaluation():

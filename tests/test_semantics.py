@@ -240,6 +240,7 @@ def _assert_oracles(p, beta):
     assert mfe_u(p) is memo(fe_u(p))
     assert clfe(p) is memo(tree_or(f_tilde_tree(sorted(syntax.alphabet(p))), x))
     assert sfe(beta, p) is sfe_tree(beta, x)
+    assert sfe_tree(beta, x) is memo(tree_or(f_tilde_tree(beta), x))
 
 
 def test_every_logic_is_its_definition_exhaustively():
