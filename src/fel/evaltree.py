@@ -106,7 +106,10 @@ def node(atom: str, left: EvalTree, right: EvalTree) -> Node:
 
 
 def replace_leaves(x: EvalTree, mapping: Mapping[str, EvalTree]) -> EvalTree:
-    """Simultaneously replace leaf kinds by trees; unmapped kinds stay."""
+    """Simultaneously replace leaf kinds by trees; unmapped kinds stay.
+
+    The general form, for the placeholders D, D1, D2; T/F substitution is subst.
+    """
     memo: dict[EvalTree, EvalTree] = {}
 
     def go(t: EvalTree) -> EvalTree:
@@ -122,16 +125,19 @@ def replace_leaves(x: EvalTree, mapping: Mapping[str, EvalTree]) -> EvalTree:
     return go(x)
 
 
-# subst's computed table, keyed by the call; it serves every connective.
+# subst's computed table, keyed by (subtree, kt, kf) for every internal node
+# a substitution visits, so a subtree shared between calls is walked once.
 _SUBST_CACHE: dict[tuple, EvalTree] = tables.computed()
 
 
 def subst(x: EvalTree, kt: EvalTree, kf: EvalTree) -> EvalTree:
     """x with its T leaves replaced by kt and its F leaves by kf; other kinds stay."""
+    if type(x) is Leaf:
+        return kt if x is TRUE else kf if x is FALSE else x
     key = (x, kt, kf)
     r = _SUBST_CACHE.get(key)
     if r is None:
-        r = _SUBST_CACHE[key] = replace_leaves(x, {"T": kt, "F": kf})
+        r = _SUBST_CACHE[key] = node(x.atom, subst(x.left, kt, kf), subst(x.right, kt, kf))
     return r
 
 

@@ -83,8 +83,42 @@ def _open(t: syntax.Expr, env: dict[str, EvalTree], reduce) -> EvalTree:
 
 
 def fe_u(p: syntax.Expr) -> EvalTree:
-    """Full evaluation tree over three truth values."""
-    return fe_open(p, {})
+    """Full evaluation tree over three truth values.
+
+    Evaluated in continuation-passing style: _fe(p, kt, kf) is the tree of p
+    with kt at its T leaves and kf at its F leaves, so each connective's
+    clause passes its right operand's trees down as the left operand's
+    leaves, and no tree is substituted after it is built.  A left-deep
+    chain costs linear time, the recursion follows the term's depth, and
+    the memo lives for this call only.
+    """
+    return _fe(p, TRUE, FALSE, {})
+
+
+def _fe(p: syntax.Expr, kt: EvalTree, kf: EvalTree, done: dict) -> EvalTree:
+    cls = type(p)
+    if cls is syntax.Atom:
+        return node(p.name, kt, kf)
+    if cls is syntax.Not:
+        return _fe(p.operand, kf, kt, done)
+    if cls is syntax.FullAnd or cls is syntax.FullOr:
+        key = (p, kt, kf)
+        r = done.get(key)
+        if r is None:
+            q = p.right
+            if cls is syntax.FullAnd:
+                r = _fe(p.left, _fe(q, kt, kf, done), _fe(q, kf, kf, done), done)
+            else:
+                r = _fe(p.left, _fe(q, kt, kt, done), _fe(q, kt, kf, done), done)
+            done[key] = r
+        return r
+    if cls is syntax.ConstT:
+        return kt
+    if cls is syntax.ConstF:
+        return kf
+    if cls is syntax.ConstU:
+        return UNDEF
+    raise TypeError(f"not a closed expression: {p!r}")
 
 
 _PRUNE_CACHE: dict[tuple, EvalTree] = tables.computed()

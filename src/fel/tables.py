@@ -30,7 +30,8 @@ def reset() -> None:
     for table in _COMPUTED:
         table.clear()
     # Trees and expressions form no cycles, but a dead recursive closure,
-    # such as replace_leaves' go, is one and can hold them until collected.
+    # such as perfect_tree's helpers or replace_leaves' go, is one and can
+    # hold them until collected.
     gc.collect()
     # An object is built after its parts, so a table popped newest first
     # meets a parent before its children, and a child that only the parent
@@ -47,3 +48,9 @@ def reset() -> None:
                 if sys.getrefcount(table[key]) <= 2:
                     del table[key]
                     dropped = True
+    # A dict keeps its peak storage when emptied by deletion; rebuilt, it
+    # takes only what the live entries need.
+    for table in _UNIQUE:
+        live = dict(table)
+        table.clear()
+        table.update(live)

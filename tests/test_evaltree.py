@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -231,3 +232,15 @@ def test_reset_frees_what_nothing_holds():
         assert not any(t.atom.startswith("q") for t in evaltree._NODES.values())
         rounds.append(sizes)
     assert rounds[0] == rounds[1] == rounds[2]
+
+
+def test_reset_shrinks_the_unique_tables():
+    fel.reset()
+    size = sys.getsizeof(evaltree._NODES)
+    t = FALSE
+    for i in range(50_000):
+        t = node(f"q{i % 10}", t, TRUE)
+    assert sys.getsizeof(evaltree._NODES) > size
+    del t
+    fel.reset()
+    assert sys.getsizeof(evaltree._NODES) <= size

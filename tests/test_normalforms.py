@@ -18,7 +18,7 @@ from fel.normalforms import (
     t_sigma,
 )
 from fel import fnf
-from fel.evaltree import UNDEF, node
+from fel.evaltree import UNDEF, Node, node
 from fel.fnf import u_sigma
 from fel.syntax import FALSE, TRUE, mk_atom
 
@@ -178,6 +178,47 @@ def test_normalize_wide_expressions(n):
     u = syntax.mk_and(nf.body, syntax.UNDEF)
     assert semantics.clfe_u(u) is semantics.clfe_u(syntax.mk_or(syntax.UNDEF, nf.body)) is UNDEF
     assert semantics.equiv(semantics.CLFEL, u, syntax.UNDEF)
+    if n == 10:
+        _assert_full_trees_of_a_wide_body(normalize_mfel(p).body)
+
+
+def _occurrences(e):
+    """The atom occurrences of e from left to right, read without recursion."""
+    out, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, syntax.Atom):
+            out.append(e.name)
+        elif isinstance(e, syntax.Not):
+            todo.append(e.operand)
+        elif isinstance(e, (syntax.FullAnd, syntax.FullOr)):
+            todo += (e.right, e.left)
+    return out
+
+
+def _leftmost_path(t):
+    """The atoms on t's leftmost path, whether each node's children are one
+    tree, and the leaf kind it ends in; read without recursion."""
+    atoms, chain = [], True
+    while isinstance(t, Node):
+        atoms.append(t.atom)
+        chain = chain and t.left is t.right
+        t = t.left
+    return atoms, chain, t.kind
+
+
+def _assert_full_trees_of_a_wide_body(body):
+    # the full trees of the body are thousands of levels deep, so they are
+    # read by loops (memo and depth recurse once per level), and only atom
+    # names reach an assertion (a tree's repr would expand every path)
+    occurrences = _occurrences(body)
+    assert len(occurrences) == 2046
+    # ffelu's tree of the body with U is the all-U chain over the occurrences
+    u = syntax.mk_and(body, syntax.UNDEF)
+    assert _leftmost_path(semantics.evaluate(semantics.FFELU, u)) == (occurrences, True, "U")
+    # every path of fe(body) reads every occurrence, the leftmost one too
+    atoms, _, end = _leftmost_path(semantics.fe(body))
+    assert atoms == occurrences and end in ("T", "F")
 
 
 def test_enumerate_counts():

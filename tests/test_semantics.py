@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fel import axioms, syntax
+from fel import axioms, evaltree, syntax
 from fel.evaltree import FALSE, TRUE, UNDEF, Leaf, depth, leaf_kinds, node
 from fel.semantics import (
     CLFEL,
@@ -19,6 +19,7 @@ from fel.semantics import (
     evaluate,
     f_tilde_tree,
     fe,
+    fe_open,
     fe_u,
     from_full,
     la,
@@ -85,6 +86,21 @@ def _atom_occurrences(e):
 @given(exprs(allow_u=False))
 def test_fe_depth_is_atom_occurrences(e):
     assert depth(fe(e)) == _atom_occurrences(e)
+
+
+def test_left_deep_chain_is_linear_and_keeps_no_substitution():
+    # fe(a & a & ... & a): each a leads on to the rest when true and to the
+    # all-F chain over the rest when false; no tree is substituted.  Only a
+    # bool reaches the assertion: a tree's repr would expand every path.
+    n = 900
+    chain = syntax.parse(" & ".join(["a"] * n))
+    expected, all_f = TRUE, FALSE
+    for _ in range(n):
+        expected, all_f = node("a", expected, all_f), node("a", all_f, all_f)
+    before = len(evaltree._SUBST_CACHE)
+    same = fe(chain) is expected
+    assert same
+    assert len(evaltree._SUBST_CACHE) == before
 
 
 def test_la_ra():
@@ -249,6 +265,7 @@ def test_every_logic_is_its_definition_exhaustively():
     logics = [logic_by_name(name) for name in LOGICS] + [SFEL(("b", "c", "a"))]
     for p in axioms._universe(("a", "b"), 3, True):
         x, has_u = fe_u(p), syntax.contains_u(p)
+        assert x is fe_open(p, {})  # continuation passing against composition
         assert leaf_kinds(x) == {"U"} if has_u else "U" not in leaf_kinds(x)
         for logic in logics:
             if logic.allows_u or not has_u:
