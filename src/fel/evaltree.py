@@ -11,12 +11,16 @@ branch is always the leaf U and is therefore not stored.
 from __future__ import annotations
 
 import json
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from . import tables
 from .syntax import Atom
 
 LEAF_KINDS = ("T", "F", "U", "D", "D1", "D2")
+
+# repr stops after this many lines of the ascii rendering: an error report
+# may repr a tree whose rendering expands exponentially many paths.
+_REPR_LINES = 50
 
 
 class EvalTree:
@@ -36,7 +40,20 @@ class EvalTree:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):
-        return render(self, "ascii").replace("\n", " ")
+        """The ascii rendering on one line, cut after _REPR_LINES lines."""
+        lines: list[str] = []
+        stack: list[tuple[EvalTree, int]] = [(self, 0)]
+        while stack and len(lines) < _REPR_LINES:
+            t, indent = stack.pop()
+            if isinstance(t, Leaf):
+                lines.append("  " * indent + t.kind)
+            else:
+                lines.append("  " * indent + t.atom)
+                stack.append((t.right, indent + 1))
+                stack.append((t.left, indent + 1))
+        if stack:
+            lines.append("...")
+        return " ".join(lines)
 
 
 class Leaf(EvalTree):
@@ -103,26 +120,6 @@ def node(atom: str, left: EvalTree, right: EvalTree) -> Node:
         _set(t, "right", right)
         _NODES[key] = t
     return t
-
-
-def replace_leaves(x: EvalTree, mapping: Mapping[str, EvalTree]) -> EvalTree:
-    """Simultaneously replace leaf kinds by trees; unmapped kinds stay.
-
-    The general form, for the placeholders D, D1, D2; T/F substitution is subst.
-    """
-    memo: dict[EvalTree, EvalTree] = {}
-
-    def go(t: EvalTree) -> EvalTree:
-        r = memo.get(t)
-        if r is None:
-            if isinstance(t, Leaf):
-                r = mapping.get(t.kind, t)
-            else:
-                r = node(t.atom, go(t.left), go(t.right))
-            memo[t] = r
-        return r
-
-    return go(x)
 
 
 # subst's computed table, keyed by (subtree, kt, kf) for every internal node

@@ -12,6 +12,7 @@ tree in the image, the unique normal-form term mapping to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import semantics, syntax
 from .evaltree import (
@@ -27,7 +28,6 @@ from .evaltree import (
     iter_subtrees,
     leaf_kinds,
     node,
-    replace_leaves,
     subst,
 )
 
@@ -55,64 +55,69 @@ def _check_tf(x: EvalTree) -> None:
         raise ValueError("tree must have only T and F leaves")
 
 
-def _context(x: EvalTree, first: EvalTree, d1: Leaf, second: EvalTree, d2: Leaf) -> EvalTree:
-    """Replace occurrences of first/second by placeholders, outermost first."""
-    memo: dict[EvalTree, EvalTree] = {}
+def _context(t: EvalTree, memo: dict) -> EvalTree:
+    """t with every outermost subtree that memo maps replaced by its image.
 
-    def go(t: EvalTree) -> EvalTree:
-        r = memo.get(t)
-        if r is None:
-            if t == first:
-                r = d1
-            elif t == second:
-                r = d2
-            elif isinstance(t, Leaf):
-                r = t
-            else:
-                r = node(t.atom, go(t.left), go(t.right))
-            memo[t] = r
-        return r
+    memo starts as those replacements and caches the walk, so each call
+    needs a fresh one.
+    """
+    r = memo.get(t)
+    if r is None:
+        if type(t) is Leaf:
+            r = t
+        else:
+            r = node(t.atom, _context(t.left, memo), _context(t.right, memo))
+        memo[t] = r
+    return r
 
-    return go(x)
+
+def _conj_fills(z: EvalTree) -> tuple[EvalTree, EvalTree]:
+    return z, subst(z, FALSE, FALSE)
+
+
+def _disj_fills(z: EvalTree) -> tuple[EvalTree, EvalTree]:
+    return subst(z, TRUE, TRUE), z
+
+
+def _alone(z: EvalTree) -> tuple[EvalTree, None]:
+    # One fill, for the single placeholder D; d2 is None too.
+    return z, None
+
+
+def _scan(x: EvalTree, fills, d1: Leaf, d2: Leaf | None) -> Iterator[Decomposition]:
+    """Each decomposition of x whose core is a T/F subtree z, children first.
+
+    The context replaces the subtrees fills(z) by d1/d2 and is kept when
+    its leaves are exactly the placeholders.  Refilling them gives x back
+    by construction, since each replaced subtree equals its fill.
+    """
+    kinds = frozenset(d.kind for d in (d1, d2) if d is not None)
+    for z in iter_subtrees(x):
+        if leaf_kinds(z) == _TF:
+            first, second = fills(z)
+            y = _context(x, {first: d1, second: d2})
+            if leaf_kinds(y) == kinds:
+                yield Decomposition(y, z)
 
 
 def find_ccd(x: EvalTree) -> list[Decomposition]:
     """All candidate conjunction decompositions of x, by candidate core."""
     _check_tf(x)
-    out = []
-    for z in iter_subtrees(x):
-        if leaf_kinds(z) != _TF:
-            continue
-        z2 = subst(z, FALSE, FALSE)
-        y = _context(x, z, HOLE1, z2, HOLE2)
-        if leaf_kinds(y) != frozenset(("D1", "D2")):
-            continue
-        if replace_leaves(y, {"D1": z, "D2": z2}) == x:
-            out.append(Decomposition(y, z))
-    return out
+    return list(_scan(x, _conj_fills, HOLE1, HOLE2))
 
 
 def find_cdd(x: EvalTree) -> list[Decomposition]:
     """All candidate disjunction decompositions of x, by candidate core."""
     _check_tf(x)
-    out = []
-    for z in iter_subtrees(x):
-        if leaf_kinds(z) != _TF:
-            continue
-        z2 = subst(z, TRUE, TRUE)
-        y = _context(x, z2, HOLE1, z, HOLE2)
-        if leaf_kinds(y) != frozenset(("D1", "D2")):
-            continue
-        if replace_leaves(y, {"D1": z2, "D2": z}) == x:
-            out.append(Decomposition(y, z))
-    return out
+    return list(_scan(x, _disj_fills, HOLE1, HOLE2))
 
 
 def _pick_minimal(cands: list[Decomposition], what: str) -> Decomposition:
     if not cands:
         raise NoDecomposition(f"tree has no {what}")
-    best = min(depth(c.core) for c in cands)
-    minimal = [c for c in cands if depth(c.core) == best]
+    depths = [depth(c.core) for c in cands]
+    best = min(depths)
+    minimal = [c for c, d in zip(cands, depths) if d == best]
     if len(minimal) > 1:
         raise NotInImage(f"ambiguous {what}: {len(minimal)} minimal cores")
     return minimal[0]
@@ -130,13 +135,7 @@ def dd(x: EvalTree) -> Decomposition:
 
 def _splittable(z: EvalTree) -> bool:
     """Does z split as C[D -> W] with an all-D context C != D?"""
-    for w in iter_subtrees(z):
-        if w == z or leaf_kinds(w) != _TF:
-            continue
-        y = _context(z, w, HOLE, None, None)
-        if leaf_kinds(y) == frozenset(("D",)) and replace_leaves(y, {"D": w}) == z:
-            return True
-    return False
+    return any(d.core is not z for d in _scan(z, _alone, HOLE, None))
 
 
 def tsd(x: EvalTree) -> Decomposition:
@@ -144,18 +143,7 @@ def tsd(x: EvalTree) -> Decomposition:
     _check_tf(x)
     if leaf_kinds(x) != _TF:
         raise NoDecomposition("tree needs both a T and an F leaf")
-    cands = []
-    for z in iter_subtrees(x):
-        if leaf_kinds(z) != _TF:
-            continue
-        y = _context(x, z, HOLE, None, None)
-        if leaf_kinds(y) != frozenset(("D",)):
-            continue
-        if replace_leaves(y, {"D": z}) != x:
-            continue
-        if _splittable(z):
-            continue
-        cands.append(Decomposition(y, z))
+    cands = [d for d in _scan(x, _alone, HOLE, None) if not _splittable(d.core)]
     if not cands:
         raise NoDecomposition("no T-*-decomposition")
     if len(cands) > 1:
@@ -199,11 +187,13 @@ def g_star(x: EvalTree) -> syntax.Expr:
         raise NotInImage("tree has both conjunction and disjunction decompositions")
     if ccds:
         d = _pick_minimal(ccds, "conjunction decomposition")
-        left = replace_leaves(d.context, {"D1": TRUE, "D2": FALSE})
+        first, second = _conj_fills(d.core)
+        left = _context(x, {first: TRUE, second: FALSE})
         return syntax.mk_and(g_star(left), g_star(d.core))
     if cdds:
         d = _pick_minimal(cdds, "disjunction decomposition")
-        left = replace_leaves(d.context, {"D1": TRUE, "D2": FALSE})
+        first, second = _disj_fills(d.core)
+        left = _context(x, {first: TRUE, second: FALSE})
         return syntax.mk_or(g_star(left), g_star(d.core))
     return g_ell(x)
 
@@ -220,7 +210,7 @@ def g(x: EvalTree) -> syntax.Expr:
             e = g_f(x)
         else:
             d = tsd(x)
-            t_part = g_t(replace_leaves(d.context, {"D": TRUE}))
+            t_part = g_t(_context(x, {d.core: TRUE}))
             e = syntax.mk_and(t_part, g_star(d.core))
     except NoDecomposition as err:
         raise NotInImage(str(err)) from None

@@ -73,32 +73,36 @@ BOOLEAN_MODEL = FiniteModel(
 )
 
 
+def _cells(m: FiniteModel) -> dict:
+    """m's tables as find_model's cells; U's is None if m has no U."""
+    cells = {("T",): m.t_elem, ("F",): m.f_elem, ("U",): m.u_elem}
+    for i in range(m.size):
+        cells["neg", i] = m.neg_table[i]
+        for j in range(m.size):
+            cells["and", i, j] = m.and_table[i][j]
+            cells["or", i, j] = m.or_table[i][j]
+    return cells
+
+
+def _value(t: Expr, env: dict[str, int], cells: dict) -> int:
+    # Every cell but U is set, so only a missing U leaves t undetermined.
+    v = _partial_eval(t, env, cells)
+    if v is None:
+        raise ValueError("model has no U element")
+    return v
+
+
 def eval_open_term(m: FiniteModel, t: Expr, env: dict[str, int]) -> int:
-    if isinstance(t, Var):
-        return env[t.name]
-    if isinstance(t, syntax.ConstT):
-        return m.t_elem
-    if isinstance(t, syntax.ConstF):
-        return m.f_elem
-    if isinstance(t, syntax.ConstU):
-        if m.u_elem is None:
-            raise ValueError("model has no U element")
-        return m.u_elem
-    if isinstance(t, syntax.Not):
-        return m.neg_table[eval_open_term(m, t.operand, env)]
-    if isinstance(t, syntax.FullAnd):
-        return m.and_table[eval_open_term(m, t.left, env)][eval_open_term(m, t.right, env)]
-    if isinstance(t, syntax.FullOr):
-        return m.or_table[eval_open_term(m, t.left, env)][eval_open_term(m, t.right, env)]
-    raise TypeError(f"not an open term over variables: {t!r}")
+    return _value(t, env, _cells(m))
 
 
 def check_equation_in_model(m: FiniteModel, eq: Equation) -> bool:
     """True when lhs = rhs under every assignment of domain elements."""
     names = sorted(variables_of(eq.lhs) | variables_of(eq.rhs))
+    cells = _cells(m)
     for values in itertools.product(range(m.size), repeat=len(names)):
         env = dict(zip(names, values))
-        if eval_open_term(m, eq.lhs, env) != eval_open_term(m, eq.rhs, env):
+        if _value(eq.lhs, env, cells) != _value(eq.rhs, env, cells):
             return False
     return True
 

@@ -200,7 +200,10 @@ def parse(text: str) -> Expr:
             return e
         raise ParseError(at, ["'T'", "'F'", "'U'", "an atom", "'!'", "'('"])
 
-    e = expr()
+    try:
+        e = expr()
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None
     kind, _, at = peek()
     if kind != "end":
         raise ParseError(at, ["'&'", "'|'", "end of input"])

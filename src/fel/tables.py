@@ -29,9 +29,9 @@ def reset() -> None:
     """Empty every computed table and free every object nothing else holds."""
     for table in _COMPUTED:
         table.clear()
-    # Trees and expressions form no cycles, but a dead recursive closure,
-    # such as perfect_tree's helpers or replace_leaves' go, is one and can
-    # hold them until collected.
+    # Trees and expressions form no cycles, but a dead recursive closure is
+    # one and holds them until collected: perfect_tree's helpers, depth's
+    # and iter_subtrees' go, find_model's search (its instances' terms).
     gc.collect()
     # An object is built after its parts, so a table popped newest first
     # meets a parent before its children, and a child that only the parent

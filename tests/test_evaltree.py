@@ -22,7 +22,6 @@ from fel.evaltree import (
     leaf_kinds,
     node,
     render,
-    replace_leaves,
     subst,
     tree_from_json,
     tree_to_json,
@@ -32,6 +31,27 @@ from fel.normalforms import normalize_clfel2, normalize_mfel
 from fel.scl import sc_and, sc_or
 from fel.semantics import CLFEL2, FFEL, MFEL, evaluate, fe, mfe, tree_and, tree_not, tree_or
 from fel.syntax import mk_and, mk_atom, mk_not, mk_or, parse, print_expr
+
+
+def replace_leaves(x, mapping):
+    """Simultaneously replace leaf kinds by trees; unmapped kinds stay.
+
+    The general leaf substitution, kept here as the oracle for subst and
+    for invert's placeholder contexts.
+    """
+    memo = {}
+
+    def go(t):
+        r = memo.get(t)
+        if r is None:
+            if isinstance(t, Leaf):
+                r = mapping.get(t.kind, t)
+            else:
+                r = node(t.atom, go(t.left), go(t.right))
+            memo[t] = r
+        return r
+
+    return go(x)
 
 
 def test_leaf_constructors():
@@ -58,6 +78,19 @@ def test_replace_leaves_simultaneous():
 def test_replace_leaves_unmapped_stay():
     x = node("a", UNDEF, FALSE)
     assert replace_leaves(x, {"F": TRUE}) == node("a", UNDEF, TRUE)
+
+
+def test_repr_is_the_ascii_rendering_cut_after_a_bound():
+    for text in ("a", "T", "a & b | !c", "(a | b) & (c | d)"):
+        x = fe(parse(text))
+        assert repr(x) == render(x, "ascii").replace("\n", " ")
+    x = TRUE
+    for _ in range(2000):
+        x = node("a", x, x)
+    text = repr(x)
+    assert len(text) < 5000
+    assert text.endswith(" ...")
+    assert text.startswith("a   a     a")
 
 
 def test_depth_and_kinds():

@@ -3,10 +3,13 @@ import random
 import pytest
 from hypothesis import given
 
-from fel import fnf, invert, semantics, syntax
-from fel.evaltree import FALSE, HOLE, HOLE1, HOLE2, TRUE, node
+from fel import axioms, fnf, invert, semantics, syntax
+from fel.evaltree import (
+    FALSE, HOLE, HOLE1, HOLE2, TRUE, Leaf, iter_subtrees, leaf_kinds, node, subst,
+)
 from fel.invert import NoDecomposition, NotInImage, cd, dd, find_ccd, find_cdd, g, tsd
 
+from test_evaltree import replace_leaves
 from test_syntax import exprs
 
 P = syntax.parse
@@ -17,8 +20,6 @@ def test_find_ccd_of_conjunction():
     decs = find_ccd(x)
     assert invert.Decomposition(node("a", HOLE1, HOLE2), node("b", TRUE, FALSE)) in decs
     for d in decs:
-        from fel.evaltree import replace_leaves
-
         core2 = replace_leaves(d.core, {"T": FALSE})
         assert replace_leaves(d.context, {"D1": d.core, "D2": core2}) == x
 
@@ -87,6 +88,77 @@ def test_g_rejects_placeholders_and_u():
         g(node("a", UNDEF, UNDEF))
     with pytest.raises(NotInImage):
         g(node("a", HOLE, HOLE))
+
+
+# Reference scans that keep a candidate only when refilling its context's
+# placeholders gives the tree back; invert's scan leaves that check out,
+# because its contexts meet it by construction.
+
+def _holes(x, mapping):
+    """x with each outermost subtree that mapping names replaced by its hole."""
+    if x in mapping:
+        return mapping[x]
+    if isinstance(x, Leaf):
+        return x
+    return node(x.atom, _holes(x.left, mapping), _holes(x.right, mapping))
+
+
+def _refilled_scan(x, fills, holes):
+    out = []
+    for z in iter_subtrees(x):
+        if leaf_kinds(z) != frozenset("TF"):
+            continue
+        parts = fills(z)
+        y = _holes(x, dict(zip(parts, holes)))
+        if leaf_kinds(y) != {h.kind for h in holes}:
+            continue
+        if replace_leaves(y, {h.kind: p for h, p in zip(holes, parts)}) == x:
+            out.append(invert.Decomposition(y, z))
+    return out
+
+
+def _refilled_ccd(x):
+    return _refilled_scan(x, lambda z: (z, subst(z, FALSE, FALSE)), (HOLE1, HOLE2))
+
+
+def _refilled_cdd(x):
+    return _refilled_scan(x, lambda z: (subst(z, TRUE, TRUE), z), (HOLE1, HOLE2))
+
+
+def _refilled_tsd(x):
+    if leaf_kinds(x) != frozenset("TF"):
+        raise NoDecomposition("tree needs both a T and an F leaf")
+    cands = []
+    for d in _refilled_scan(x, lambda z: (z,), (HOLE,)):
+        if all(w.core == d.core for w in _refilled_scan(d.core, lambda z: (z,), (HOLE,))):
+            cands.append(d)
+    if not cands:
+        raise NoDecomposition("no T-*-decomposition")
+    if len(cands) > 1:
+        raise NotInImage(f"ambiguous T-*-decomposition: {len(cands)} candidates")
+    return cands[0]
+
+
+def _outcome(f, x):
+    try:
+        return f(x)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def test_decompositions_match_the_refilling_scan():
+    trees = {semantics.fe(p) for p in axioms._universe(("a", "b", "c"), 3, False)}
+    assert len(trees) == 1328
+    found = 0
+    for x in trees:
+        for scan, oracle in ((find_ccd, _refilled_ccd), (find_cdd, _refilled_cdd)):
+            cands = scan(x)
+            assert cands == oracle(x)
+            found += len(cands)
+        d = _outcome(tsd, x)
+        assert d == _outcome(_refilled_tsd, x)
+        found += isinstance(d, invert.Decomposition)
+    assert found == 3264
 
 
 # Random generator for the normal-form grammar.

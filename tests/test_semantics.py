@@ -34,6 +34,7 @@ from fel.semantics import (
     tree_or,
 )
 
+from test_evaltree import replace_leaves
 from test_syntax import exprs
 
 P = syntax.parse
@@ -68,8 +69,6 @@ def test_fe_u_examples():
 
 @given(exprs(allow_u=False))
 def test_fe_not_is_swap(e):
-    from fel.evaltree import replace_leaves
-
     assert fe(syntax.mk_not(e)) == replace_leaves(fe(e), {"T": FALSE, "F": TRUE})
 
 

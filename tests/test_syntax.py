@@ -64,6 +64,12 @@ def test_parse_errors_carry_offset():
         parse("")
 
 
+def test_too_deep_input_raises_value_error():
+    for text in ("!" * 3000 + "a", "(" * 1200 + "a" + ")" * 1200):
+        with pytest.raises(ValueError, match="input nested too deeply"):
+            parse(text)
+
+
 def test_print_minimal_parentheses():
     assert print_expr(parse("(a | b) & c")) == "(a | b) & c"
     assert print_expr(parse("a | b & c")) == "a | b & c"
