@@ -29,7 +29,7 @@ class _Main(click.Group):
 
 
 def _alphabet(ctx, param, value):
-    # Comma-separated atom names, so that beta can name atoms like a0.
+    # Comma-separated atom names, so that beta or sigma can name atoms like a0.
     return value.split(",") if value is not None and "," in value else value
 
 
@@ -192,7 +192,8 @@ def models_cmd(satisfy, drop, max_size, budget):
 
 
 @main.command(name="enumerate")
-@click.option("--sigma", required=True)
+@click.option("--sigma", required=True, callback=_alphabet,
+              help="Atoms of sigma: one per character, or comma-separated.")
 @click.option("--count-only", is_flag=True)
 def enumerate_cmd(sigma, count_only):
     """Enumerate all memorising normal forms over an atom string."""

@@ -10,6 +10,7 @@ branch is always the leaf U and is therefore not stored.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Iterator
 
@@ -41,18 +42,9 @@ class EvalTree:
 
     def __repr__(self):
         """The ascii rendering on one line, cut after _REPR_LINES lines."""
-        lines: list[str] = []
-        stack: list[tuple[EvalTree, int]] = [(self, 0)]
-        while stack and len(lines) < _REPR_LINES:
-            t, indent = stack.pop()
-            if isinstance(t, Leaf):
-                lines.append("  " * indent + t.kind)
-            else:
-                lines.append("  " * indent + t.atom)
-                stack.append((t.right, indent + 1))
-                stack.append((t.left, indent + 1))
-        if stack:
-            lines.append("...")
+        lines = list(itertools.islice(_ascii(self, False), _REPR_LINES + 1))
+        if len(lines) > _REPR_LINES:
+            lines[-1] = "..."
         return " ".join(lines)
 
 
@@ -139,16 +131,21 @@ def subst(x: EvalTree, kt: EvalTree, kf: EvalTree) -> EvalTree:
 
 
 def depth(x: EvalTree) -> int:
-    memo: dict[EvalTree, int] = {}
-
-    def go(t: EvalTree) -> int:
-        d = memo.get(t)
-        if d is None:
-            d = 0 if isinstance(t, Leaf) else 1 + max(go(t.left), go(t.right))
-            memo[t] = d
-        return d
-
-    return go(x)
+    """The number of nodes on x's longest path, read by a loop."""
+    done: dict[EvalTree, int] = {}
+    stack = [x]
+    while stack:
+        t = stack[-1]
+        if isinstance(t, Leaf):
+            done[t] = 0
+        else:
+            left, right = done.get(t.left), done.get(t.right)
+            if left is None or right is None:
+                stack += [c for c in (t.right, t.left) if c not in done]
+                continue
+            done[t] = 1 + max(left, right)
+        stack.pop()
+    return done[x]
 
 
 def leaf_kinds(x: EvalTree) -> frozenset[str]:
@@ -164,19 +161,19 @@ def leaf_kinds(x: EvalTree) -> frozenset[str]:
 
 
 def iter_subtrees(x: EvalTree) -> Iterator[EvalTree]:
-    """All distinct subtrees of x, children before parents."""
+    """All distinct subtrees of x, children before parents, left before right."""
     seen: set[EvalTree] = set()
-
-    def go(t: EvalTree) -> Iterator[EvalTree]:
-        if t in seen:
-            return
-        seen.add(t)
-        if isinstance(t, Node):
-            yield from go(t.left)
-            yield from go(t.right)
-        yield t
-
-    yield from go(x)
+    stack: list[tuple[EvalTree, bool]] = [(x, False)]
+    while stack:
+        t, children_done = stack.pop()
+        if children_done:
+            yield t
+        elif t not in seen:
+            seen.add(t)
+            stack.append((t, True))
+            if isinstance(t, Node):
+                stack.append((t.right, False))
+                stack.append((t.left, False))
 
 
 def tree_to_json(x: EvalTree) -> dict:
@@ -193,26 +190,26 @@ def tree_from_json(data) -> EvalTree:
     """Read back tree_to_json's form, or its JSON text; ValueError if malformed."""
     if isinstance(data, str):
         data = json.loads(data)
+    return _from_json(data)
 
-    def go(d) -> EvalTree:
-        if not isinstance(d, dict):
-            raise ValueError("tree JSON must be an object")
-        if "leaf" in d:
-            kind = d["leaf"]
-            if not isinstance(kind, str):
-                raise ValueError(f"unknown leaf kind {kind!r}")
-            return leaf(kind)
-        if "atom" in d:
-            atom = d["atom"]
-            if not isinstance(atom, str):
-                raise ValueError(f"invalid atom name {atom!r}")
-            Atom(atom)  # ValueError unless atom names an atom
-            if "left" not in d or "right" not in d:
-                raise ValueError("tree JSON node needs 'left' and 'right' keys")
-            return node(atom, go(d["left"]), go(d["right"]))
-        raise ValueError("tree JSON object needs a 'leaf' or 'atom' key")
 
-    return go(data)
+def _from_json(d) -> EvalTree:
+    if not isinstance(d, dict):
+        raise ValueError("tree JSON must be an object")
+    if "leaf" in d:
+        kind = d["leaf"]
+        if not isinstance(kind, str):
+            raise ValueError(f"unknown leaf kind {kind!r}")
+        return leaf(kind)
+    if "atom" in d:
+        atom = d["atom"]
+        if not isinstance(atom, str):
+            raise ValueError(f"invalid atom name {atom!r}")
+        Atom(atom)  # ValueError unless atom names an atom
+        if "left" not in d or "right" not in d:
+            raise ValueError("tree JSON node needs 'left' and 'right' keys")
+        return node(atom, _from_json(d["left"]), _from_json(d["right"]))
+    raise ValueError("tree JSON object needs a 'leaf' or 'atom' key")
 
 
 def render(x: EvalTree, format: str = "ascii", middle_u: bool = False) -> str:
@@ -225,36 +222,35 @@ def render(x: EvalTree, format: str = "ascii", middle_u: bool = False) -> str:
         return json.dumps(tree_to_json(x))
     if format == "dot":
         lines = ["digraph evaltree {"]
-        counter = 0
-
-        def go(t: EvalTree) -> int:
-            nonlocal counter
-            me = counter
-            counter += 1
-            label = t.kind if isinstance(t, Leaf) else t.atom
-            lines.append(f'  n{me} [label="{label}"];')
-            if isinstance(t, Node):
-                lines.append(f'  n{me} -> n{go(t.left)} [label="L"];')
-                lines.append(f'  n{me} -> n{go(t.right)} [label="R"];')
-            return me
-
-        go(x)
+        _dot(x, lines, itertools.count())
         lines.append("}")
         return "\n".join(lines)
     if format == "ascii":
-        lines: list[str] = []
-
-        def go(t: EvalTree, indent: int) -> None:
-            pad = "  " * indent
-            if isinstance(t, Leaf):
-                lines.append(pad + t.kind)
-            else:
-                lines.append(pad + t.atom)
-                go(t.left, indent + 1)
-                if middle_u:
-                    lines.append("  " * (indent + 1) + "U")
-                go(t.right, indent + 1)
-
-        go(x, 0)
-        return "\n".join(lines)
+        return "\n".join(_ascii(x, middle_u))
     raise ValueError(f"unknown render format {format!r}")
+
+
+def _dot(t: EvalTree, lines: list[str], ids) -> int:
+    """Append the dot lines of t, numbering its nodes from ids; t's number."""
+    me = next(ids)
+    label = t.kind if isinstance(t, Leaf) else t.atom
+    lines.append(f'  n{me} [label="{label}"];')
+    if isinstance(t, Node):
+        lines.append(f'  n{me} -> n{_dot(t.left, lines, ids)} [label="L"];')
+        lines.append(f'  n{me} -> n{_dot(t.right, lines, ids)} [label="R"];')
+    return me
+
+
+def _ascii(x: EvalTree, middle_u: bool) -> Iterator[str]:
+    """The lines of x's ascii rendering, in order, read by a loop."""
+    stack: list[tuple[EvalTree, int]] = [(x, 0)]
+    while stack:
+        t, indent = stack.pop()
+        if isinstance(t, Leaf):
+            yield "  " * indent + t.kind
+        else:
+            yield "  " * indent + t.atom
+            stack.append((t.right, indent + 1))
+            if middle_u:
+                stack.append((UNDEF, indent + 1))
+            stack.append((t.left, indent + 1))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 
 from . import semantics, syntax, tables
-from .evaltree import Leaf, Node
+from .evaltree import Node
 from .syntax import FALSE, TRUE, UNDEF, Atom, FullAnd, FullOr, Not, mk_and, mk_not, mk_or
 
 
@@ -245,33 +245,22 @@ def u_sigma(sigma) -> syntax.Expr:
 
 
 def all_u_labels(tree) -> list[str]:
-    """Path labels of an all-U perfect tree; error on any other tree.
-
-    Equal subtrees are one object, so the tree is perfect and all-U exactly
-    when every node's children are the same object and the last leaf is U.
-    """
+    """The path labels of an all-U chain, read down its left spine."""
     labels = []
     while isinstance(tree, Node):
-        if tree.left is not tree.right:
-            raise AssertionError("paths of the undefined tree disagree")
         labels.append(tree.atom)
         tree = tree.left
-    if not isinstance(tree, Leaf) or tree.kind != "U":
-        raise AssertionError("tree mixes U with other leaves")
     return labels
 
 
 def normalize_ffelu(p: syntax.Expr) -> syntax.Expr:
     """Normal form over three truth values.
 
-    An expression containing U always evaluates to an all-U perfect tree,
-    so its normal form is the canonical undefined term over that tree's
-    path labels; U-free expressions normalize as usual.
+    An expression containing U always evaluates to an all-U chain, every
+    node's two children one tree, so its normal form is the canonical
+    undefined term over that chain's labels; U-free expressions normalize
+    as usual.
     """
     if not syntax.contains_u(p):
         return normalize_ffel(p)
-    tree = semantics.fe_u(p)
-    result = u_sigma(all_u_labels(tree))
-    if semantics.fe_u(result) != tree:
-        raise AssertionError("normal form changed the evaluation tree")
-    return result
+    return u_sigma(all_u_labels(semantics.fe_u(p)))

@@ -33,8 +33,20 @@ class FiniteModel:
     u_elem: int | None = None
 
     def __post_init__(self):
-        if not 2 <= self.size <= 4:
+        n = self.size
+        if not 2 <= n <= 4:
             raise ValueError("model size must be between 2 and 4")
+        for name, table in (("and", self.and_table), ("or", self.or_table)):
+            if len(table) != n or any(len(row) != n for row in table):
+                raise ValueError(f"the {name} table must be {n} rows of {n} elements")
+        if len(self.neg_table) != n:
+            raise ValueError(f"the neg table must have {n} elements")
+        elements = [v for row in self.and_table + self.or_table for v in row]
+        elements += [*self.neg_table, self.t_elem, self.f_elem]
+        if self.u_elem is not None:
+            elements.append(self.u_elem)
+        if any(v not in range(n) for v in elements):
+            raise ValueError(f"model elements must lie in 0..{n - 1}")
 
     def to_json(self) -> str:
         data = {
@@ -52,15 +64,20 @@ class FiniteModel:
     @classmethod
     def from_json(cls, text: str) -> "FiniteModel":
         d = json.loads(text)
-        return cls(
-            d["size"],
-            tuple(tuple(r) for r in d["and"]),
-            tuple(tuple(r) for r in d["or"]),
-            tuple(d["neg"]),
-            d["T"],
-            d["F"],
-            d.get("U"),
-        )
+        try:
+            return cls(
+                d["size"],
+                tuple(tuple(r) for r in d["and"]),
+                tuple(tuple(r) for r in d["or"]),
+                tuple(d["neg"]),
+                d["T"],
+                d["F"],
+                d.get("U"),
+            )
+        except KeyError as err:
+            raise ValueError(f"model JSON needs the key {err.args[0]!r}") from None
+        except TypeError as err:
+            raise ValueError(f"malformed model JSON: {err}") from None
 
 
 BOOLEAN_MODEL = FiniteModel(
@@ -186,62 +203,53 @@ def find_model(satisfy, violate: Equation | None, max_size: int,
         )
         must = _instances(satisfy, size)
         wanted = _instances([violate], size) if violate else None
-        cells: dict = {}
-
-        def consistent() -> bool:
-            for lhs, rhs, env in must:
-                l = _partial_eval(lhs, env, cells)
-                r = _partial_eval(rhs, env, cells)
-                if l is not None and r is not None and l != r:
-                    return False
-            return True
-
-        def violated() -> bool:
-            for lhs, rhs, env in wanted:
-                l = _partial_eval(lhs, env, cells)
-                r = _partial_eval(rhs, env, cells)
-                if l is not None and r is not None and l != r:
-                    return True
-            return False
-
-        def to_model() -> FiniteModel:
-            return FiniteModel(
-                size,
-                tuple(tuple(cells[("and", i, j)] for j in range(size)) for i in range(size)),
-                tuple(tuple(cells[("or", i, j)] for j in range(size)) for i in range(size)),
-                tuple(cells[("neg", i)] for i in range(size)),
-                cells[("T",)],
-                cells[("F",)],
-                cells.get(("U",)),
-            )
-
-        def dfs(k: int):
-            if time.monotonic() > deadline:
-                return "timeout"
-            if k == len(order):
-                if wanted is not None and not violated():
-                    return None
-                return to_model()
-            for v in range(size):
-                cells[order[k]] = v
-                stats.nodes += 1
-                if consistent():
-                    found = dfs(k + 1)
-                    if found is not None:
-                        del cells[order[k]]
-                        return found
-                else:
-                    stats.pruned += 1
-            del cells[order[k]]
-            return None
-
-        result = dfs(0)
+        result = _search(0, order, size, {}, must, wanted, stats, deadline)
         if result == "timeout":
             return FindResult("timeout", None, stats)
         if result is not None:
             return FindResult("model", result, stats)
         stats.sizes_done.append(size)
     return FindResult("exhausted", None, stats)
+
+
+def _broken(instances, cells) -> bool:
+    """Whether some ground instance has both sides determined and unequal."""
+    for lhs, rhs, env in instances:
+        l = _partial_eval(lhs, env, cells)
+        r = _partial_eval(rhs, env, cells)
+        if l is not None and r is not None and l != r:
+            return True
+    return False
+
+
+def _search(k: int, order, size: int, cells: dict, must, wanted, stats, deadline):
+    """Assign cells order[k:] depth first: a model, None, or "timeout"."""
+    if time.monotonic() > deadline:
+        return "timeout"
+    if k == len(order):
+        if wanted is not None and not _broken(wanted, cells):
+            return None
+        return FiniteModel(
+            size,
+            tuple(tuple(cells[("and", i, j)] for j in range(size)) for i in range(size)),
+            tuple(tuple(cells[("or", i, j)] for j in range(size)) for i in range(size)),
+            tuple(cells[("neg", i)] for i in range(size)),
+            cells[("T",)],
+            cells[("F",)],
+            cells.get(("U",)),
+        )
+    for v in range(size):
+        cells[order[k]] = v
+        stats.nodes += 1
+        if not _broken(must, cells):
+            found = _search(k + 1, order, size, cells, must, wanted, stats, deadline)
+            if found is not None:
+                del cells[order[k]]
+                return found
+        else:
+            stats.pruned += 1
+    del cells[order[k]]
+    return None
 
 
 def independence_report(axset, max_size: int = 3, budget: float = 60.0) -> dict:

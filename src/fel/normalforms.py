@@ -15,7 +15,7 @@ from typing import Iterator
 
 from . import semantics, syntax, tables
 from .evaltree import Leaf
-from .fnf import all_u_labels, normalize_ffel, normalize_ffelu, u_sigma
+from .fnf import normalize_ffel, normalize_ffelu, u_sigma
 from .syntax import Expr, FALSE, TRUE, mk_and, mk_atom, mk_not, mk_or
 
 
@@ -93,34 +93,26 @@ def normalize_mfel(p: Expr) -> SigmaNormalForm:
     """The unique memorising normal form over sigma = atoms_of(p)."""
     if syntax.contains_u(p):
         raise ValueError("normalize_mfel rejects U; use normalize_mfelu")
-    tree = semantics.mfe(p)
-    body = _read_back(tree)
-    if semantics.mfe(body) != tree:
-        raise AssertionError("normal form changed the evaluation tree")
-    return SigmaNormalForm(syntax.atoms_of(p), body)
+    return SigmaNormalForm(syntax.atoms_of(p), _read_back(semantics.mfe(p)))
 
 
 def normalize_mfelu(p: Expr) -> SigmaNormalForm:
-    """Memorising normal form over three truth values."""
+    """Memorising normal form over three truth values.
+
+    A U term's tree is the all-U chain over the atoms before its leftmost
+    U, so its form is the undefined term over those atoms.
+    """
     if not syntax.contains_u(p):
         return normalize_mfel(p)
-    tree = semantics.mfe_u(p)
-    labels = all_u_labels(tree)
-    body = u_sigma(labels)
-    if semantics.mfe_u(body) != tree:
-        raise AssertionError("normal form changed the evaluation tree")
-    return SigmaNormalForm(tuple(labels), body)
+    labels = syntax.atoms_before_u(p)
+    return SigmaNormalForm(labels, u_sigma(labels))
 
 
 def normalize_clfel2(p: Expr) -> SigmaNormalForm:
     """Commutative normal form: sigma is the sorted alphabet of p."""
     if syntax.contains_u(p):
         raise ValueError("normalize_clfel2 rejects U; use normalize_clfelu")
-    tree = semantics.clfe(p)
-    body = _read_back(tree)
-    if semantics.clfe(body) != tree:
-        raise AssertionError("normal form changed the evaluation tree")
-    return SigmaNormalForm(tuple(sorted(syntax.alphabet(p))), body)
+    return SigmaNormalForm(tuple(sorted(syntax.alphabet(p))), _read_back(semantics.clfe(p)))
 
 
 def normalize_clfelu(p: Expr) -> SigmaNormalForm:
@@ -171,10 +163,7 @@ def permute_sigma_nf(nf: SigmaNormalForm, sigma_prime) -> SigmaNormalForm:
         b = mk_atom(head)
         return h(mk_atom(a), go(h(b, z, v), rest), go(h(b, u, w), rest))
 
-    body = go(nf.body, target)
-    if target and semantics.clfe(body) != semantics.clfe(nf.body):
-        raise AssertionError("permutation changed the commutative tree")
-    return SigmaNormalForm(target, body)
+    return SigmaNormalForm(target, go(nf.body, target))
 
 
 _ENUM_BOUND = 4

@@ -187,74 +187,74 @@ def perfect_tree(order, p: syntax.Expr) -> EvalTree:
         top[i] = node(atoms[i], top[i + 1], top[i + 1])
         bot[i] = node(atoms[i], bot[i + 1], bot[i + 1])
     level = {a: i for i, a in enumerate(atoms)}
-    nots: dict[EvalTree, EvalTree] = {}
-    ands: dict[tuple, EvalTree] = {}
-    ors: dict[tuple, EvalTree] = {}
+    # The call's state, passed down the walk: no closure holds its tables.
+    return _walk(p, (atoms, top, bot, level, p, {}, {}, {}, {}))
 
-    # At level n every tree is a leaf, T or F, so a shortcut always applies.
-    def neg(x: EvalTree, i: int) -> EvalTree:
-        if x is top[i]:
-            return bot[i]
-        if x is bot[i]:
-            return top[i]
-        r = nots.get(x)
-        if r is None:
-            r = nots[x] = node(atoms[i], neg(x.left, i + 1), neg(x.right, i + 1))
-        return r
 
-    # apply(x, y, i, zero, one, table) is & with zero=bot, one=top and | with
-    # zero=top, one=bot: zero absorbs, one is the unit.
-    def apply(x: EvalTree, y: EvalTree, i: int, zero, one, table) -> EvalTree:
-        if x is y or x is zero[i] or y is one[i]:
-            return x
-        if y is zero[i] or x is one[i]:
-            return y
-        r = table.get((x, y))
-        if r is None:
-            j = i + 1
-            r = table[x, y] = node(
-                atoms[i],
-                apply(x.left, y.left, j, zero, one, table),
-                apply(x.right, y.right, j, zero, one, table),
-            )
-        return r
+# At level n every tree is a leaf, T or F, so a shortcut always applies.
+def _neg(x: EvalTree, i: int, atoms, top, bot, nots) -> EvalTree:
+    if x is top[i]:
+        return bot[i]
+    if x is bot[i]:
+        return top[i]
+    r = nots.get(x)
+    if r is None:
+        j = i + 1
+        r = nots[x] = node(
+            atoms[i], _neg(x.left, j, atoms, top, bot, nots), _neg(x.right, j, atoms, top, bot, nots)
+        )
+    return r
 
-    def literal(a: str) -> EvalTree:
-        k = level.get(a)
-        if k is None:
-            missing = sorted(syntax.alphabet(p) - level.keys())
-            raise ValueError(f"atoms outside the alphabet: {', '.join(missing)}")
-        t = node(a, top[k + 1], bot[k + 1])
-        for i in reversed(range(k)):
-            t = node(atoms[i], t, t)
-        return t
 
-    done: dict[syntax.Expr, EvalTree] = {}
+# _apply(x, y, i, atoms, zero, one, table) is & with zero=bot, one=top and
+# | with zero=top, one=bot: zero absorbs, one is the unit.
+def _apply(x: EvalTree, y: EvalTree, i: int, atoms, zero, one, table) -> EvalTree:
+    if x is y or x is zero[i] or y is one[i]:
+        return x
+    if y is zero[i] or x is one[i]:
+        return y
+    r = table.get((x, y))
+    if r is None:
+        j = i + 1
+        r = table[x, y] = node(
+            atoms[i],
+            _apply(x.left, y.left, j, atoms, zero, one, table),
+            _apply(x.right, y.right, j, atoms, zero, one, table),
+        )
+    return r
 
-    def go(e: syntax.Expr) -> EvalTree:
-        t = done.get(e)
-        if t is None:
-            cls = type(e)
-            if cls is syntax.FullAnd:
-                t = apply(go(e.left), go(e.right), 0, bot, top, ands)
-            elif cls is syntax.FullOr:
-                t = apply(go(e.left), go(e.right), 0, top, bot, ors)
-            elif cls is syntax.Not:
-                t = neg(go(e.operand), 0)
-            elif cls is syntax.Atom:
-                t = literal(e.name)
-            elif cls is syntax.ConstT:
-                t = top[0]
-            elif cls is syntax.ConstF:
-                t = bot[0]
-            elif cls is syntax.ConstU:
-                raise ValueError("perfect_tree rejects U")
-            else:
-                raise TypeError(f"not a closed expression: {e!r}")
-            done[e] = t
-        return t
 
-    return go(p)
+def _walk(e: syntax.Expr, call: tuple) -> EvalTree:
+    """The perfect tree of e, a subterm of the call's term p; it recurses
+    once per operator on a path of e."""
+    atoms, top, bot, level, p, nots, ands, ors, done = call
+    t = done.get(e)
+    if t is None:
+        cls = type(e)
+        if cls is syntax.FullAnd:
+            t = _apply(_walk(e.left, call), _walk(e.right, call), 0, atoms, bot, top, ands)
+        elif cls is syntax.FullOr:
+            t = _apply(_walk(e.left, call), _walk(e.right, call), 0, atoms, top, bot, ors)
+        elif cls is syntax.Not:
+            t = _neg(_walk(e.operand, call), 0, atoms, top, bot, nots)
+        elif cls is syntax.Atom:
+            k = level.get(e.name)
+            if k is None:
+                missing = sorted(syntax.alphabet(p) - level.keys())
+                raise ValueError(f"atoms outside the alphabet: {', '.join(missing)}")
+            t = node(e.name, top[k + 1], bot[k + 1])
+            for i in reversed(range(k)):
+                t = node(atoms[i], t, t)
+        elif cls is syntax.ConstT:
+            t = top[0]
+        elif cls is syntax.ConstF:
+            t = bot[0]
+        elif cls is syntax.ConstU:
+            raise ValueError("perfect_tree rejects U")
+        else:
+            raise TypeError(f"not a closed expression: {e!r}")
+        done[e] = t
+    return t
 
 
 def f_tilde_tree(beta) -> EvalTree:
@@ -364,24 +364,29 @@ def evaluate(logic: Logic, p: syntax.Expr, beta=None) -> EvalTree:
     A U-free p takes the direct route: fe_u(p) itself, or the perfect tree
     over the logic's atom order.  With U, memo(fe_u(p)) is the all-U chain
     over the atoms before the leftmost U and the static tree is U, both
-    without building fe_u(p), which may be exponential.
+    without building fe_u(p), which may be exponential.  The direct route
+    recurses once per operator on a path of p, so a p nested past the
+    interpreter's recursion limit raises ValueError, as parse does.
     """
     if beta is not None:
         logic = Logic(logic.name, beta)  # ValueError unless the logic is sfel
     kind, has_u = logic.tree, syntax.contains_u(p)
     if has_u and not logic.allows_u:
         raise ValueError(f"logic {logic} accepts only U-free expressions")
-    if kind is FREE:
-        return fe_u(p)
-    if has_u:
+    if has_u and kind is not FREE:
         t = UNDEF
         if kind is MEMO:
             for a in reversed(syntax.atoms_before_u(p)):
                 t = node(a, t, t)
         return t
-    if kind is MEMO:
-        return perfect_tree(syntax.atoms_of(p), p)
-    return perfect_tree(_static_order(logic, beta, syntax.alphabet(p)), p)
+    try:
+        if kind is FREE:
+            return fe_u(p)
+        if kind is MEMO:
+            return perfect_tree(syntax.atoms_of(p), p)
+        return perfect_tree(_static_order(logic, beta, syntax.alphabet(p)), p)
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None
 
 
 def from_full(logic: Logic, x: EvalTree, beta=None) -> EvalTree:

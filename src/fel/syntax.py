@@ -297,8 +297,8 @@ def alphabet(e: Expr) -> set[str]:
 
 
 def contains_u(e: Expr) -> bool:
-    # The walk of _leaves, stopping at the first U: this runs once per term
-    # in the axiom checks, on terms of a few nodes.
+    # The walk of _leaves, stopping at the first U: evaluate runs it once
+    # per call, over the whole term when the term has no U.
     seen: set[Expr] = set()
     stack = [e]
     while stack:

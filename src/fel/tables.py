@@ -6,7 +6,6 @@ arguments to its result.  reset() never drops a unique entry whose object
 is live, or an equal object built later would compare unequal to it.
 """
 
-import gc
 import sys
 
 _COMPUTED: list[dict] = []
@@ -29,10 +28,8 @@ def reset() -> None:
     """Empty every computed table and free every object nothing else holds."""
     for table in _COMPUTED:
         table.clear()
-    # Trees and expressions form no cycles, but a dead recursive closure is
-    # one and holds them until collected: perfect_tree's helpers, depth's
-    # and iter_subtrees' go, find_model's search (its instances' terms).
-    gc.collect()
+    # Trees, expressions and the walks over them form no reference cycles,
+    # so reference counts alone tell what is held: no cyclic collection.
     # An object is built after its parts, so a table popped newest first
     # meets a parent before its children, and a child that only the parent
     # held is dropped later in the same pass.  Tables refer to each other,

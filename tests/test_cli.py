@@ -165,6 +165,10 @@ def test_enumerate():
     assert len(r.output.strip().splitlines()) == 4
     r = run("enumerate", "--sigma", "abcde")
     assert r.exit_code == 2
+    r = run("enumerate", "--sigma", "a0,b")
+    forms = r.output.strip().splitlines()
+    assert r.exit_code == 0 and len(forms) == 16
+    assert all(syntax.atoms_of(syntax.parse(f)) == ("a0", "b") for f in forms)
 
 
 def test_translate_and_bridge():

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import pickle
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fel
-from fel import evaltree, syntax, tables
+from fel import axioms, evaltree, invert, models, syntax, tables
 from fel.evaltree import (
     FALSE,
     HOLE,
@@ -265,6 +266,29 @@ def test_reset_frees_what_nothing_holds():
         assert not any(t.atom.startswith("q") for t in evaltree._NODES.values())
         rounds.append(sizes)
     assert rounds[0] == rounds[1] == rounds[2]
+
+
+def test_reset_needs_no_cyclic_collection():
+    # Nothing fel builds is held by a reference cycle, so reference counts
+    # alone free it: with the collector off, no cyclic garbage is left
+    # behind, and reset() drops every tree over the q atoms.  (parse's
+    # closures hold only tokens; the terms here are built without it.)
+    rng = random.Random(11)
+    mf = axioms.BUILTIN_SETS["mf"]
+    fel.reset()
+    gc.collect()
+    gc.disable()
+    try:
+        _churn(rng)
+        for _ in range(100):
+            nf = normalize_ffel(_fresh_term(rng, rng.randint(2, 5)))
+            assert invert.g(fe(nf)) is nf
+        assert models.find_model(mf.without("MF1"), mf["MF1"], 3).status == "model"
+        assert gc.collect() == 0
+        fel.reset()
+        assert not any(t.atom.startswith("q") for t in evaltree._NODES.values())
+    finally:
+        gc.enable()
 
 
 def test_reset_shrinks_the_unique_tables():

@@ -16,6 +16,20 @@ from fel.models import (
 def test_model_validation():
     with pytest.raises(ValueError):
         FiniteModel(5, (), (), (), 0, 0)
+    good = dict(size=2, and_table=((0, 0), (0, 1)), or_table=((0, 1), (1, 1)),
+                neg_table=(1, 0), t_elem=1, f_elem=0)
+    assert FiniteModel(**good) == BOOLEAN_MODEL
+    for bad in (dict(and_table=((0, 0), (0, 5))), dict(or_table=((0, 1), (1,))),
+                dict(or_table=((0, 1),)), dict(neg_table=(1,)), dict(neg_table=(1, 2)),
+                dict(t_elem=2), dict(f_elem=-1), dict(u_elem=7)):
+        with pytest.raises(ValueError):
+            FiniteModel(**{**good, **bad})
+    with pytest.raises(ValueError, match="needs the key 'and'"):
+        FiniteModel.from_json('{"size": 2}')
+    with pytest.raises(ValueError):
+        FiniteModel.from_json('{"size": 2, "and": 0, "or": 0, "neg": 0, "T": 1, "F": 0}')
+    with pytest.raises(ValueError):
+        FiniteModel.from_json("[2]")
 
 
 def test_json_roundtrip():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given
 
-from fel import normalforms, semantics, syntax
+from fel import axioms, normalforms, semantics, syntax
 from fel.normalforms import (
     SigmaNormalForm,
     enumerate_sigma_nf,
@@ -131,6 +131,26 @@ def test_permute_three_atoms_all_orders():
         assert out.sigma == perm
         assert syntax.str_of(out.body) == target
         assert semantics.clfe(out.body) == semantics.clfe(nf.body)
+
+
+@pytest.mark.parametrize("allow_u", [False, True])
+def test_every_normal_form_keeps_the_tree_exhaustively(allow_u):
+    # The normalizers do not evaluate their output again; this is that check,
+    # for every term of height <= 3 over a, b, c, in each logic with normal forms.
+    for p in axioms._universe(("a", "b", "c"), 3, allow_u):
+        has_u = syntax.contains_u(p)
+        for logic, normal_form in normalforms.NORMAL_FORMS.items():
+            if logic.allows_u or not has_u:
+                assert semantics.evaluate(logic, normal_form(p)) is semantics.evaluate(logic, p)
+
+
+def test_every_permutation_keeps_the_commutative_tree():
+    # permute_sigma_nf does not compare trees itself; this is that check.
+    for nf in enumerate_sigma_nf("abc"):
+        tree = semantics.clfe(nf.body)
+        for order in itertools.permutations("abc"):
+            out = permute_sigma_nf(nf, order)
+            assert out.sigma == order and semantics.clfe(out.body) is tree
 
 
 def test_permute_multi_character_atoms():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -206,6 +208,23 @@ def test_logic_by_name():
     assert Logic("sfel", ["b", "a0"]) == SFEL(("b", "a0"))
     with pytest.raises(ValueError, match="outside the alphabet: a"):
         evaluate(SFEL(""), P("a"))
+
+
+def test_too_deep_input_raises_value_error_in_every_logic():
+    # evaluate recurses once per operator of a left-deep chain; a chain
+    # longer than the recursion limit is a typed error, as in parse
+    chain = syntax.mk_atom("a")
+    for i in range(sys.getrecursionlimit() + 300):
+        chain = syntax.mk_and(chain, syntax.mk_atom("ab"[i % 2]))
+    too_deep = pytest.raises(ValueError, match="input nested too deeply")
+    for name in LOGICS:
+        with too_deep:
+            evaluate(Logic(name), chain)
+        with too_deep:
+            equiv(Logic(name), chain, syntax.mk_atom("a"))
+    for one in (fe, mfe, clfe, lambda p: sfe(("a", "b"), p)):
+        with too_deep:
+            one(chain)
 
 
 def test_evaluate_u_gate():
