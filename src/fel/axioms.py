@@ -19,8 +19,8 @@ import random as _random_mod
 from dataclasses import dataclass, field
 
 from . import semantics, syntax, tables
-from .evaltree import EvalTree
-from .semantics import FREE, Logic, both_sides, fe_open, from_full, memo_open, tree_atoms
+from .evaltree import FALSE, TRUE, UNDEF, EvalTree, node, subst
+from .semantics import FREE, Logic, both_sides, from_full, memo, tree_atoms
 from .syntax import Expr, Var
 
 _VAR_NAMES = ("x", "y", "z", "u", "v", "w")
@@ -288,12 +288,101 @@ class Random:
 
 # --- instance evaluation at the tree level ---
 
-def _check_instance(logic, eq, trees):
-    # memo_open is exact, memo(x[T:=y, F:=z]) being memo(memo(x)[T:=memo(y), F:=memo(z)]),
-    # and from_full(logic, memo(x)) is from_full(logic, x) unless the logic is free.
-    walk = fe_open if logic.tree is FREE else memo_open
-    lt, rt = walk(eq.lhs, trees), walk(eq.rhs, trees)
-    return both_sides(logic, lt, rt, from_full, tree_atoms)
+class _Plan:
+    """An equation's two sides as one list of leaf substitutions.
+
+    Slot k < len(names) holds the tree of the k-th variable; every other
+    slot is a constant leaf or a step subst(v[a], v[b], v[c]), so that
+    tree_not, tree_and and tree_or are one, two and two steps, and a step
+    shared by both sides is made once.  A step runs at the level of the
+    last variable it reads (-1 for none): in the product loop, with the
+    first variable outermost, x | y in (x | y) & z is built once per
+    (x, y).  In a logic that memorises, each connective's tree is
+    memorised, which is exact: memo(x[T:=y, F:=z]) is
+    memo(memo(x)[T:=memo(y), F:=memo(z)]), and from_full(logic, memo(x))
+    is from_full(logic, x).
+    """
+
+    __slots__ = ("logic", "init", "levels", "lhs", "rhs")
+
+    def __init__(self, logic: Logic, eq: Equation, names: list[str]):
+        self.logic = logic
+        self.init: list = [None] * len(names)
+        self.levels: list[list] = [[] for _ in range(len(names) + 1)]
+        # (slot, level) of each variable name, leaf tree, subterm and step.
+        index: dict = {n: (k, k) for k, n in enumerate(names)}
+        memorise = logic.tree is not FREE
+        self.lhs = self._walk(eq.lhs, index, memorise)[0]
+        self.rhs = self._walk(eq.rhs, index, memorise)[0]
+
+    def _leaf(self, t: EvalTree, index) -> tuple[int, int]:
+        r = index.get(t)
+        if r is None:
+            r = index[t] = (len(self.init), -1)
+            self.init.append(t)
+        return r
+
+    def _step(self, a, b, c, memorise: bool, index) -> tuple[int, int]:
+        key = (a[0], b[0], c[0], memorise)
+        r = index.get(key)
+        if r is None:
+            level = max(a[1], b[1], c[1])
+            r = index[key] = (len(self.init), level)
+            self.init.append(None)
+            self.levels[level + 1].append((r[0], a[0], b[0], c[0], memorise))
+        return r
+
+    def _walk(self, t: Expr, index, memorise: bool) -> tuple[int, int]:
+        """t's (slot, level), adding the steps it needs."""
+        cls = type(t)
+        if cls is Var:
+            return index[t.name]
+        r = index.get(t)
+        if r is not None:
+            return r
+        if cls is syntax.Not:
+            x = self._walk(t.operand, index, memorise)
+            r = self._step(x, self._leaf(FALSE, index), self._leaf(TRUE, index), memorise, index)
+        elif cls is syntax.FullAnd:
+            x = self._walk(t.left, index, memorise)
+            y = self._walk(t.right, index, memorise)
+            f = self._leaf(FALSE, index)
+            r = self._step(x, y, self._step(y, f, f, False, index), memorise, index)
+        elif cls is syntax.FullOr:
+            x = self._walk(t.left, index, memorise)
+            y = self._walk(t.right, index, memorise)
+            tt = self._leaf(TRUE, index)
+            r = self._step(x, self._step(y, tt, tt, False, index), y, memorise, index)
+        elif cls is syntax.Atom:
+            r = self._leaf(node(t.name, TRUE, FALSE), index)
+        elif cls is syntax.ConstT:
+            r = self._leaf(TRUE, index)
+        elif cls is syntax.ConstF:
+            r = self._leaf(FALSE, index)
+        elif cls is syntax.ConstU:
+            r = self._leaf(UNDEF, index)
+        else:
+            raise TypeError(f"not an open term: {t!r}")
+        index[t] = r
+        return r
+
+    def run(self, v: list, level: int) -> None:
+        """Run the steps of a level, its variables set in v."""
+        for out, a, b, c, memorise in self.levels[level + 1]:
+            r = subst(v[a], v[b], v[c])
+            v[out] = memo(r) if memorise else r
+
+    def sides(self, v: list) -> tuple[EvalTree, EvalTree]:
+        """The logic's trees of both sides, every level run."""
+        return both_sides(self.logic, v[self.lhs], v[self.rhs], from_full, tree_atoms)
+
+    def instance(self, trees: list[EvalTree]) -> tuple[EvalTree, EvalTree]:
+        """The logic's trees of both sides, the variables' trees given in order."""
+        v = list(self.init)
+        v[: len(trees)] = trees
+        for level in range(-1, len(trees)):
+            self.run(v, level)
+        return self.sides(v)
 
 
 # --- closed-term universes and their per-logic quotients ---
@@ -393,6 +482,25 @@ class Report:
         return iter(self.verdicts)
 
 
+def _product(plan: _Plan, v: list, trees: list, k: int, idx: list[int]):
+    """Run the instances whose variables before k are set in v, in the order
+    of itertools.product(trees, repeat=len(idx)), the k-th variable's trees
+    read from trees[idx[k]]: (instances run, the first counterexample's
+    trees or None)."""
+    if k == len(idx):
+        lt, rt = plan.sides(v)
+        return 1, (None if lt is rt else (lt, rt))
+    checked = 0
+    for i, t in enumerate(trees):
+        idx[k], v[k] = i, t
+        plan.run(v, k)
+        n, bad = _product(plan, v, trees, k + 1, idx)
+        checked += n
+        if bad is not None:
+            return checked, bad
+    return checked, None
+
+
 def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
     """Check one equation on closed instances; never claims derivability."""
     if eq.signature == WITH_U and not logic.allows_u:
@@ -400,6 +508,7 @@ def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
     names = sorted(variables_of(eq.lhs) | variables_of(eq.rhs))
     allow_u = logic.allows_u
 
+    plan = _Plan(logic, eq, names)
     if isinstance(strategy, Exhaustive):
         atoms = tuple(strategy.atoms)
         reps = _classes(logic, atoms, strategy.depth, allow_u)
@@ -408,16 +517,13 @@ def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
             cap = max(1, int(strategy.max_instances ** (1.0 / len(names))))
             reps = reps[:cap]
             note = f"truncated to {cap} classes per variable"
-        checked = 0
-        for combo in itertools.product(reps, repeat=len(names)):
-            trees = {n: c[1] for n, c in zip(names, combo)}
-            lt, rt = _check_instance(logic, eq, trees)
-            checked += 1
-            if lt != rt:
-                return Verdict(
-                    "counterexample", eq, checked,
-                    {n: c[0] for n, c in zip(names, combo)}, lt, rt, note,
-                )
+        v = list(plan.init)
+        plan.run(v, -1)
+        idx = [0] * len(names)
+        checked, bad = _product(plan, v, [c[1] for c in reps], 0, idx)
+        if bad is not None:
+            assignment = {n: reps[i][0] for n, i in zip(names, idx)}
+            return Verdict("counterexample", eq, checked, assignment, *bad, note)
         return Verdict("valid-on-sample", eq, checked, note=note)
 
     if isinstance(strategy, Random):
@@ -427,8 +533,7 @@ def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
             assignment = {
                 n: _random_term(rng, atoms, allow_u, strategy.height) for n in names
             }
-            trees = {n: semantics.fe_u(t) for n, t in assignment.items()}
-            lt, rt = _check_instance(logic, eq, trees)
+            lt, rt = plan.instance([semantics.fe_u(assignment[n]) for n in names])
             if lt != rt:
                 return Verdict("counterexample", eq, i + 1, assignment, lt, rt)
         return Verdict("valid-on-sample", eq, strategy.count)

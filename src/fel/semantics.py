@@ -257,11 +257,18 @@ def _walk(e: syntax.Expr, call: tuple) -> EvalTree:
     return t
 
 
+_F_TILDE_CACHE: dict[tuple, EvalTree] = tables.computed()
+
+
 def f_tilde_tree(beta) -> EvalTree:
     """fe of the all-false prefix term over beta: a & (b & ... & F)."""
-    t: EvalTree = FALSE
-    for a in reversed(tuple(beta)):
-        t = node(a, t, t)
+    beta = tuple(beta)
+    t = _F_TILDE_CACHE.get(beta)
+    if t is None:
+        t = FALSE
+        for a in reversed(beta):
+            t = node(a, t, t)
+        _F_TILDE_CACHE[beta] = t
     return t
 
 

@@ -152,62 +152,60 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str) -> Expr:
-    """Parse concrete syntax into an Expr; ParseError carries byte offset."""
+    """Parse concrete syntax into an Expr; ParseError carries byte offset.
+
+    A recursive descent over (tokens, position) by module-level functions,
+    one Python frame or more per nesting level, so input nested past the
+    recursion limit raises ValueError; no call leaves a reference cycle.
+    """
     tokens = _tokenize(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx]
-
-    def take():
-        nonlocal idx
-        t = tokens[idx]
-        idx += 1
-        return t
-
-    def expr():
-        e = conjunction()
-        while peek()[0] == "|":
-            take()
-            e = mk_or(e, conjunction())
-        return e
-
-    def conjunction():
-        e = unary()
-        while peek()[0] == "&":
-            take()
-            e = mk_and(e, unary())
-        return e
-
-    def unary():
-        kind, _, _ = peek()
-        if kind == "!":
-            take()
-            return mk_not(unary())
-        return primary()
-
-    def primary():
-        kind, value, at = take()
-        if kind == "atom":
-            return mk_atom(value)
-        if kind == "const":
-            return {"T": TRUE, "F": FALSE, "U": UNDEF}[value]
-        if kind == "(":
-            e = expr()
-            kind2, _, at2 = take()
-            if kind2 != ")":
-                raise ParseError(at2, ["')'", "'&'", "'|'"])
-            return e
-        raise ParseError(at, ["'T'", "'F'", "'U'", "an atom", "'!'", "'('"])
-
     try:
-        e = expr()
+        e, i = _expr(tokens, 0)
     except RecursionError:
         raise ValueError("input nested too deeply") from None
-    kind, _, at = peek()
+    kind, _, at = tokens[i]
     if kind != "end":
         raise ParseError(at, ["'&'", "'|'", "end of input"])
     return e
+
+
+# Each takes the tokens and a position and returns (expression, next position).
+def _expr(tokens, i):
+    e, i = _conjunction(tokens, i)
+    while tokens[i][0] == "|":
+        r, i = _conjunction(tokens, i + 1)
+        e = mk_or(e, r)
+    return e, i
+
+
+def _conjunction(tokens, i):
+    e, i = _unary(tokens, i)
+    while tokens[i][0] == "&":
+        r, i = _unary(tokens, i + 1)
+        e = mk_and(e, r)
+    return e, i
+
+
+def _unary(tokens, i):
+    if tokens[i][0] == "!":
+        e, i = _unary(tokens, i + 1)
+        return mk_not(e), i
+    return _primary(tokens, i)
+
+
+def _primary(tokens, i):
+    kind, value, at = tokens[i]
+    if kind == "atom":
+        return mk_atom(value), i + 1
+    if kind == "const":
+        return {"T": TRUE, "F": FALSE, "U": UNDEF}[value], i + 1
+    if kind == "(":
+        e, i = _expr(tokens, i + 1)
+        kind2, _, at2 = tokens[i]
+        if kind2 != ")":
+            raise ParseError(at2, ["')'", "'&'", "'|'"])
+        return e, i + 1
+    raise ParseError(at, ["'T'", "'F'", "'U'", "an atom", "'!'", "'('"])
 
 
 _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_PRIMARY = 1, 2, 3, 4

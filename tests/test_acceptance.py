@@ -445,7 +445,11 @@ def test_criterion_10_models():
                 assert models.check_equation_in_model(m, other)
             assert not models.check_equation_in_model(m, axioms.MF[name])
             independent.append(name)
-    # MF1..MF5 have witnesses within size 3; MF6 is reported unknown
-    assert len(independent) >= 5, report
+    # MF1..MF5 have witnesses within size 3; MF6 has none there, which the
+    # search decides rather than running out of time.
+    assert sorted(independent) == ["MF1", "MF2", "MF3", "MF4", "MF5"], report
+    assert report["MF6"] == {"status": "unknown", "reason": "no model of size <= 3"}
+    total = time.monotonic() - start
+    assert total < 2.0, total
     statuses = {n: report[n]["status"] for n in sorted(report)}
-    print(f"criterion 10: PASS (Boolean model in {elapsed:.2f}s; {statuses})")
+    print(f"criterion 10: PASS (Boolean model in {elapsed:.2f}s, all in {total:.2f}s; {statuses})")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -155,16 +156,54 @@ def test_instance_trees_are_the_logic_trees(logic):
         if eq.signature == axioms.WITH_U and not logic.allows_u:
             continue
         names = sorted(variables_of(eq.lhs) | variables_of(eq.rhs))
+        plan = axioms._Plan(logic, eq, names)
         for _ in range(15):
             atoms = logic.beta or ("a", "b", "c")
             terms = {n: axioms._random_term(rng, atoms, logic.allows_u, 3) for n in names}
-            trees = {n: semantics.fe_u(t) for n, t in terms.items()}
+            trees = [semantics.fe_u(terms[n]) for n in names]
             l, r = instantiate(eq, terms)
             want = semantics.both_sides(logic, l, r, semantics.evaluate, syntax.alphabet)
-            assert axioms._check_instance(logic, eq, trees) == want, (eq.name, terms)
+            assert plan.instance(trees) == want, (eq.name, terms)
     comm = axioms._eq("Comm", "x & y", "y & x")
     v = check_validity(logic, comm, Exhaustive(depth=2))
     if v.status == "counterexample":
         l, r = instantiate(comm, v.assignment)
         want = semantics.both_sides(logic, l, r, semantics.evaluate, syntax.alphabet)
         assert (v.left_tree, v.right_tree) == want
+
+
+def _per_instance(logic, eq, strategy):
+    """check_validity's Exhaustive verdict, one instance at a time."""
+    names = sorted(variables_of(eq.lhs) | variables_of(eq.rhs))
+    reps = axioms._classes(logic, strategy.atoms, strategy.depth, logic.allows_u)
+    walk = semantics.fe_open if logic.tree is semantics.FREE else semantics.memo_open
+    checked = 0
+    for combo in itertools.product(reps, repeat=len(names)):
+        trees = {n: c[1] for n, c in zip(names, combo)}
+        lt, rt = semantics.both_sides(
+            logic, walk(eq.lhs, trees), walk(eq.rhs, trees), semantics.from_full, semantics.tree_atoms
+        )
+        checked += 1
+        if lt is not rt:
+            assignment = {n: c[0] for n, c in zip(names, combo)}
+            return ("counterexample", checked, assignment, lt, rt)
+    return ("valid-on-sample", checked, None, None, None)
+
+
+def _hoisted_cases():
+    for name in ("eqffel", "eqffelu", "eqmfel", "eqmfelu", "eqclfel2", "eqclfelu", "eqsfel"):
+        yield OWN_LOGIC[name], name
+    for name in ("mf", "c1c4", "bochvar", "aux0"):
+        for logic in LOGICS[:-1]:
+            yield logic, name
+
+
+@pytest.mark.parametrize("logic, name", list(_hoisted_cases()), ids=lambda x: str(x))
+def test_hoisted_checker_matches_the_per_instance_loop(logic, name):
+    strategy = Exhaustive(depth=2)
+    for eq in BUILTIN_SETS[name]:
+        if eq.signature == axioms.WITH_U and not logic.allows_u:
+            continue
+        v = check_validity(logic, eq, strategy)
+        got = (v.status, v.instances, v.assignment, v.left_tree, v.right_tree)
+        assert got == _per_instance(logic, eq, strategy), eq.name

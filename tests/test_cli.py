@@ -217,7 +217,16 @@ def test_static_logics_take_multi_character_atoms():
 
 
 def test_models_rejects_bad_limits():
-    for args in (("--max-size", "1"), ("--budget", "nan"), ("--budget", "0")):
+    for args in (("--max-size", "1"), ("--max-size", "7"), ("--budget", "nan"), ("--budget", "0")):
         r = run("models", "--satisfy", "eqsfel", *args)
         assert r.exit_code == 2
         assert "error" in r.output
+
+
+def test_models_up_to_size_6():
+    r = run("models", "--satisfy", "mf", "--drop", "MF6", "--max-size", "4", "--budget", "30")
+    assert r.exit_code == 0
+    assert json.loads(r.output)["size"] == 4
+    r = run("models", "--satisfy", "eqffel", "--drop", "FFEL1", "--max-size", "6", "--budget", "30")
+    assert r.exit_code == 1
+    assert r.output.strip() == "exhausted"

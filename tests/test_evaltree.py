@@ -271,8 +271,7 @@ def test_reset_frees_what_nothing_holds():
 def test_reset_needs_no_cyclic_collection():
     # Nothing fel builds is held by a reference cycle, so reference counts
     # alone free it: with the collector off, no cyclic garbage is left
-    # behind, and reset() drops every tree over the q atoms.  (parse's
-    # closures hold only tokens; the terms here are built without it.)
+    # behind, and reset() drops every tree over the q atoms.
     rng = random.Random(11)
     mf = axioms.BUILTIN_SETS["mf"]
     fel.reset()

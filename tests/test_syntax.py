@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 
 import pytest
@@ -65,9 +66,23 @@ def test_parse_errors_carry_offset():
 
 
 def test_too_deep_input_raises_value_error():
-    for text in ("!" * 3000 + "a", "(" * 1200 + "a" + ")" * 1200):
+    for text in ("!" * 3000 + "a", "(" * 1200 + "a" + ")" * 1200,
+                 "(!" * 600 + "a" + ")" * 600, "a & (" * 600 + "a" + ")" * 600):
         with pytest.raises(ValueError, match="input nested too deeply"):
             parse(text)
+
+
+def test_parse_leaves_no_reference_cycle():
+    # The descent is module-level functions, so reference counts alone
+    # free what a call makes.
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            parse("(a & !b) | (c & (d | T)) & !U")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_print_minimal_parentheses():
