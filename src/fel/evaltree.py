@@ -16,6 +16,7 @@ from typing import Iterator
 
 from . import tables
 from .syntax import Atom
+from .tables import Interned
 
 LEAF_KINDS = ("T", "F", "U", "D", "D1", "D2")
 
@@ -24,21 +25,15 @@ LEAF_KINDS = ("T", "F", "U", "D", "D1", "D2")
 _REPR_LINES = 50
 
 
-class EvalTree:
+class EvalTree(Interned):
     """Base class of Leaf and Node.
 
-    Trees are immutable and hash-consed: a direct Leaf(...) or Node(...)
-    call returns the object that leaf() or node() returns, so equality and
-    hashing are object identity, inherited from object.
+    Trees are interned (tables.Interned): Node(...) and node() return the
+    one tree with the given fields, so equality and hashing are object
+    identity, inherited from object.
     """
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):
         """The ascii rendering on one line, cut after _REPR_LINES lines."""
@@ -53,10 +48,9 @@ class Leaf(EvalTree):
     kind: str
 
     def __new__(cls, kind: str) -> Leaf:
-        return leaf(kind)
-
-    def __reduce__(self):
-        return leaf, (self.kind,)
+        if kind not in LEAF_KINDS:
+            raise ValueError(f"unknown leaf kind {kind!r}")
+        return super().__new__(cls, kind)
 
 
 class Node(EvalTree):
@@ -65,41 +59,14 @@ class Node(EvalTree):
     left: EvalTree
     right: EvalTree
 
-    def __new__(cls, atom: str, left: EvalTree, right: EvalTree) -> Node:
-        return node(atom, left, right)
 
-    def __reduce__(self):
-        return node, (self.atom, self.left, self.right)
+leaf = Leaf
+TRUE, FALSE, UNDEF, HOLE, HOLE1, HOLE2 = map(Leaf, LEAF_KINDS)
 
-
+# Equal trees are always the same object and share all their subtrees.
+# node() is the hot constructor: it builds over Node's unique table itself.
+_NODES: dict[tuple, Node] = Node._table
 _set = object.__setattr__
-
-
-def _new_leaf(kind: str) -> Leaf:
-    t = object.__new__(Leaf)
-    _set(t, "kind", kind)
-    return t
-
-
-# Trees are hash-consed through these unique tables, so equal trees are
-# always the same object and share all their subtrees.  Equality is
-# identity, so build trees only through node()/leaf().
-_LEAVES = {kind: _new_leaf(kind) for kind in LEAF_KINDS}
-_NODES: dict[tuple, Node] = tables.unique()
-
-TRUE = _LEAVES["T"]
-FALSE = _LEAVES["F"]
-UNDEF = _LEAVES["U"]
-HOLE = _LEAVES["D"]
-HOLE1 = _LEAVES["D1"]
-HOLE2 = _LEAVES["D2"]
-
-
-def leaf(kind: str) -> Leaf:
-    try:
-        return _LEAVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown leaf kind {kind!r}") from None
 
 
 def node(atom: str, left: EvalTree, right: EvalTree) -> Node:
@@ -197,10 +164,7 @@ def _from_json(d) -> EvalTree:
     if not isinstance(d, dict):
         raise ValueError("tree JSON must be an object")
     if "leaf" in d:
-        kind = d["leaf"]
-        if not isinstance(kind, str):
-            raise ValueError(f"unknown leaf kind {kind!r}")
-        return leaf(kind)
+        return leaf(d["leaf"])  # ValueError unless it names a leaf kind
     if "atom" in d:
         atom = d["atom"]
         if not isinstance(atom, str):

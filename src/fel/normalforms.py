@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import semantics, syntax, tables
-from .evaltree import Leaf
+from .evaltree import UNDEF, EvalTree, Leaf, Node
 from .fnf import normalize_ffel, normalize_ffelu, u_sigma
 from .syntax import Expr, FALSE, TRUE, mk_and, mk_atom, mk_not, mk_or
 
@@ -91,9 +91,7 @@ def _read_back(tree) -> Expr:
 
 def normalize_mfel(p: Expr) -> SigmaNormalForm:
     """The unique memorising normal form over sigma = atoms_of(p)."""
-    if syntax.contains_u(p):
-        raise ValueError("normalize_mfel rejects U; use normalize_mfelu")
-    return SigmaNormalForm(syntax.atoms_of(p), _read_back(semantics.mfe(p)))
+    return _sigma_nf(semantics.mfe_u(p), "normalize_mfel rejects U; use normalize_mfelu")
 
 
 def normalize_mfelu(p: Expr) -> SigmaNormalForm:
@@ -102,24 +100,33 @@ def normalize_mfelu(p: Expr) -> SigmaNormalForm:
     A U term's tree is the all-U chain over the atoms before its leftmost
     U, so its form is the undefined term over those atoms.
     """
-    if not syntax.contains_u(p):
-        return normalize_mfel(p)
-    labels = syntax.atoms_before_u(p)
-    return SigmaNormalForm(labels, u_sigma(labels))
+    return _sigma_nf(semantics.mfe_u(p), None)
 
 
 def normalize_clfel2(p: Expr) -> SigmaNormalForm:
     """Commutative normal form: sigma is the sorted alphabet of p."""
-    if syntax.contains_u(p):
-        raise ValueError("normalize_clfel2 rejects U; use normalize_clfelu")
-    return SigmaNormalForm(tuple(sorted(syntax.alphabet(p))), _read_back(semantics.clfe(p)))
+    return _sigma_nf(semantics.clfe_u(p), "normalize_clfel2 rejects U; use normalize_clfelu")
 
 
 def normalize_clfelu(p: Expr) -> SigmaNormalForm:
     """Commutative normal form with U: every U-expression collapses to U."""
-    if syntax.contains_u(p):
-        return SigmaNormalForm((), syntax.UNDEF)
-    return normalize_clfel2(p)
+    return _sigma_nf(semantics.clfe_u(p), None)
+
+
+def _sigma_nf(tree: EvalTree, u_error: str | None) -> SigmaNormalForm:
+    """The normal form of a memorised tree, or ValueError(u_error) for U.
+
+    A perfect tree reads its whole atom order down every path, and the tree
+    of a U term is all U: sigma is the atoms down the left spine.
+    """
+    sigma = []
+    t = tree
+    while isinstance(t, Node):
+        sigma.append(t.atom)
+        t = t.left
+    if t is UNDEF and u_error is not None:
+        raise ValueError(u_error)
+    return SigmaNormalForm(tuple(sigma), u_sigma(sigma) if t is UNDEF else _read_back(tree))
 
 
 # The normal form of each logic that has one; sfel has none.
@@ -145,25 +152,24 @@ def permute_sigma_nf(nf: SigmaNormalForm, sigma_prime) -> SigmaNormalForm:
         source.append(a)
     if sorted(target) != sorted(source) or len(set(target)) != len(target):
         raise ValueError(f"{sigma_prime!r} is not a permutation of {nf.sigma!r}")
+    return SigmaNormalForm(target, _permute(nf.body, target))
 
-    def go(body: Expr, want: tuple[str, ...]) -> Expr:
-        if not want:
-            return body
-        a, rest = want[0], want[1:]
-        head, p1, p2 = _h_parts(body)
-        if head == a:
-            return h(mk_atom(a), go(p1, rest), go(p2, rest))
-        # Float a to the head of both children, then swap it past head:
-        # h(b, h(a,z,u), h(a,v,w)) = h(a, h(b,z,v), h(b,u,w)).
-        sub = (a,) + tuple(x for x in want if x != a and x != head)
-        p1 = go(p1, sub)
-        p2 = go(p2, sub)
-        _, z, u = _h_parts(p1)
-        _, v, w = _h_parts(p2)
-        b = mk_atom(head)
-        return h(mk_atom(a), go(h(b, z, v), rest), go(h(b, u, w), rest))
 
-    return SigmaNormalForm(target, go(nf.body, target))
+def _permute(body: Expr, want: tuple[str, ...]) -> Expr:
+    """The h-nest body reordered to the atom string want."""
+    if not want:
+        return body
+    a, rest = want[0], want[1:]
+    head, p1, p2 = _h_parts(body)
+    if head == a:
+        return h(mk_atom(a), _permute(p1, rest), _permute(p2, rest))
+    # Float a to the head of both children, then swap it past head:
+    # h(b, h(a,z,u), h(a,v,w)) = h(a, h(b,z,v), h(b,u,w)).
+    sub = (a,) + tuple(x for x in want if x != a and x != head)
+    _, z, u = _h_parts(_permute(p1, sub))
+    _, v, w = _h_parts(_permute(p2, sub))
+    b = mk_atom(head)
+    return h(mk_atom(a), _permute(h(b, z, v), rest), _permute(h(b, u, w), rest))
 
 
 _ENUM_BOUND = 4
@@ -176,13 +182,14 @@ def enumerate_sigma_nf(sigma) -> Iterator[SigmaNormalForm]:
         raise ValueError(f"alphabet {sigma!r} repeats an atom")
     if len(atoms) > _ENUM_BOUND:
         raise ValueError(f"alphabet longer than the bound of {_ENUM_BOUND}")
-
-    def bodies(rest: tuple[str, ...]) -> list[Expr]:
-        if not rest:
-            return [TRUE, FALSE]
-        sub = bodies(rest[1:])
-        a = mk_atom(rest[0])
-        return [h(a, p1, p2) for p1 in sub for p2 in sub]
-
-    for body in bodies(atoms):
+    for body in _bodies(atoms):
         yield SigmaNormalForm(atoms, body)
+
+
+def _bodies(atoms: tuple[str, ...]) -> list[Expr]:
+    """Every h-nest over the atom string atoms."""
+    if not atoms:
+        return [TRUE, FALSE]
+    sub = _bodies(atoms[1:])
+    a = mk_atom(atoms[0])
+    return [h(a, p1, p2) for p1 in sub for p2 in sub]

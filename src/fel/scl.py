@@ -65,20 +65,34 @@ def sc_or(x: EvalTree, y: EvalTree) -> EvalTree:
 
 
 def se(p: SclExpr) -> EvalTree:
-    """Short-circuit evaluation tree; not perfect in general."""
-    if isinstance(p, ConstT):
-        return TRUE
-    if isinstance(p, ConstF):
-        return FALSE
-    if isinstance(p, Atom):
-        return node(p.name, TRUE, FALSE)
-    if isinstance(p, Not):
-        return semantics.tree_not(se(p.operand))
-    if isinstance(p, ScAnd):
-        return sc_and(se(p.left), se(p.right))
-    if isinstance(p, ScOr):
-        return sc_or(se(p.left), se(p.right))
-    raise TypeError(f"not a short-circuit expression: {p!r}")
+    """Short-circuit evaluation tree; not perfect in general.
+
+    A memo that lives for this call visits each distinct subterm once:
+    translate_t's terms use each right operand twice.
+    """
+    return _se(p, {})
+
+
+def _se(p: SclExpr, done: dict) -> EvalTree:
+    t = done.get(p)
+    if t is None:
+        cls = type(p)
+        if cls is ScAnd:
+            t = sc_and(_se(p.left, done), _se(p.right, done))
+        elif cls is ScOr:
+            t = sc_or(_se(p.left, done), _se(p.right, done))
+        elif cls is Not:
+            t = semantics.tree_not(_se(p.operand, done))
+        elif cls is Atom:
+            t = node(p.name, TRUE, FALSE)
+        elif cls is ConstT:
+            t = TRUE
+        elif cls is ConstF:
+            t = FALSE
+        else:
+            raise TypeError(f"not a short-circuit expression: {p!r}")
+        done[p] = t
+    return t
 
 
 def translate_t(p: syntax.Expr) -> SclExpr:
@@ -107,31 +121,12 @@ def bridge_check(p: syntax.Expr) -> bool:
     return semantics.fe(p) == se(translate_t(p))
 
 
-_PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3
+SPELLING = {
+    Atom: None, ConstT: "T", ConstF: "F",
+    Not: ("!", 3), ScAnd: (" && ", 2), ScOr: (" || ", 1),
+}
 
 
 def print_scl(e: SclExpr, fully_parenthesized: bool = False) -> str:
     """Print with && and || and minimal parentheses."""
-
-    def go(e: SclExpr, need: int) -> str:
-        if isinstance(e, Atom):
-            return e.name
-        if isinstance(e, ConstT):
-            return "T"
-        if isinstance(e, ConstF):
-            return "F"
-        if isinstance(e, Not):
-            s, p = "!" + go(e.operand, _PREC_NOT), _PREC_NOT
-        elif isinstance(e, ScAnd):
-            s = go(e.left, _PREC_AND) + " && " + go(e.right, _PREC_NOT)
-            p = _PREC_AND
-        elif isinstance(e, ScOr):
-            s = go(e.left, _PREC_OR) + " || " + go(e.right, _PREC_AND)
-            p = _PREC_OR
-        else:
-            raise TypeError(f"not a short-circuit expression: {e!r}")
-        if p < need or (fully_parenthesized and not isinstance(e, Not)):
-            return "(" + s + ")"
-        return s
-
-    return go(e, 0)
+    return syntax.print_term(e, SPELLING, "a short-circuit expression", fully_parenthesized)

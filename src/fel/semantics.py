@@ -377,21 +377,23 @@ def evaluate(logic: Logic, p: syntax.Expr, beta=None) -> EvalTree:
     """
     if beta is not None:
         logic = Logic(logic.name, beta)  # ValueError unless the logic is sfel
-    kind, has_u = logic.tree, syntax.contains_u(p)
+    kind = logic.tree
+    # Only the non-free logics need the atom order; they read it and the U test in one walk.
+    atoms, has_u = ((), syntax.contains_u(p)) if kind is FREE else syntax.atoms_until_u(p)
     if has_u and not logic.allows_u:
         raise ValueError(f"logic {logic} accepts only U-free expressions")
     if has_u and kind is not FREE:
         t = UNDEF
         if kind is MEMO:
-            for a in reversed(syntax.atoms_before_u(p)):
+            for a in reversed(atoms):
                 t = node(a, t, t)
         return t
     try:
         if kind is FREE:
             return fe_u(p)
         if kind is MEMO:
-            return perfect_tree(syntax.atoms_of(p), p)
-        return perfect_tree(_static_order(logic, beta, syntax.alphabet(p)), p)
+            return perfect_tree(atoms, p)
+        return perfect_tree(_static_order(logic, beta, atoms), p)
     except RecursionError:
         raise ValueError("input nested too deeply") from None
 

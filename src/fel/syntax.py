@@ -11,44 +11,9 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from . import tables
+from .tables import Interned
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_set = object.__setattr__
-
-
-class Interned:
-    """Base class of Expr and scl.SclExpr: immutable and hash-consed.
-
-    Each class keeps a unique table keyed by the tuple of its fields, and
-    __new__ returns the one object with those fields, so equality is identity.
-    """
-
-    __slots__ = ()
-    _table: dict[tuple, Interned]
-
-    def __init_subclass__(cls):
-        cls._table = tables.unique()
-
-    def __new__(cls, *fields):
-        e = cls._table.get(fields)
-        if e is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields")
-            e = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                _set(e, name, value)
-            cls._table[fields] = e
-        return e
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Expr(Interned):
@@ -208,38 +173,55 @@ def _primary(tokens, i):
     raise ParseError(at, ["'T'", "'F'", "'U'", "an atom", "'!'", "'('"])
 
 
-_PREC_OR, _PREC_AND, _PREC_NOT, _PREC_PRIMARY = 1, 2, 3, 4
+# Each class's spelling for print_term: a constant's text, None for a class
+# printed by its name, or a connective's (operator, precedence).
+SPELLING = {
+    Atom: None, Var: None, ConstT: "T", ConstF: "F", ConstU: "U",
+    Not: ("!", 3), FullAnd: (" & ", 2), FullOr: (" | ", 1),
+}
 
 
 def print_expr(e: Expr, fully_parenthesized: bool = False) -> str:
     """Print with minimal parentheses; parse(print_expr(e)) == e."""
+    return print_term(e, SPELLING, "an expression", fully_parenthesized)
 
-    def go(e: Expr, need: int) -> str:
-        if isinstance(e, Atom):
-            return e.name
-        if isinstance(e, Var):
-            return e.name
-        if isinstance(e, ConstT):
-            return "T"
-        if isinstance(e, ConstF):
-            return "F"
-        if isinstance(e, ConstU):
-            return "U"
-        if isinstance(e, Not):
-            s, p = "!" + go(e.operand, _PREC_NOT), _PREC_NOT
-        elif isinstance(e, FullAnd):
-            s = go(e.left, _PREC_AND) + " & " + go(e.right, _PREC_NOT)
-            p = _PREC_AND
-        elif isinstance(e, FullOr):
-            s = go(e.left, _PREC_OR) + " | " + go(e.right, _PREC_AND)
-            p = _PREC_OR
+
+def print_term(e: Interned, spelling: dict, what: str, fully_parenthesized: bool) -> str:
+    """Print e by its classes' spelling, with minimal parentheses.
+
+    A binary connective of precedence p is left-associative, and a unary
+    one a prefix.  An explicit stack of pending operands and texts replaces
+    recursion, so any depth prints; TypeError names what e should be.
+    """
+    out = []
+    stack: list = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, need = item
+        try:
+            s = spelling[type(t)]
+        except KeyError:
+            raise TypeError(f"not {what}: {t!r}") from None
+        if s is None:
+            out.append(t.name)
+        elif type(s) is str:
+            out.append(s)
         else:
-            raise TypeError(f"not an expression: {e!r}")
-        if p < need or (fully_parenthesized and not isinstance(e, Not)):
-            return "(" + s + ")"
-        return s
-
-    return go(e, 0)
+            op, p = s
+            unary = len(t._fields) == 1
+            paren = p < need or (fully_parenthesized and not unary)
+            if paren:
+                stack.append(")")
+            if unary:
+                stack += [(t.operand, p), op]
+            else:
+                stack += [(t.right, p + 1), op, (t.left, p)]
+            if paren:
+                stack.append("(")
+    return "".join(out)
 
 
 def _leaves(e: Expr) -> list[Expr]:
@@ -269,10 +251,10 @@ def _leaves(e: Expr) -> list[Expr]:
     return out
 
 
-def atoms_of(e: Expr) -> tuple[str, ...]:
-    """The atom names of e in first-occurrence order, left to right."""
+def _names(leaves: list[Expr]) -> tuple[str, ...]:
+    """The atom names among leaves; TypeError if one is a variable."""
     names = []
-    for t in _leaves(e):
+    for t in leaves:
         if type(t) is Atom:
             names.append(t.name)
         elif type(t) not in (ConstT, ConstF, ConstU):
@@ -280,13 +262,24 @@ def atoms_of(e: Expr) -> tuple[str, ...]:
     return tuple(names)
 
 
+def atoms_of(e: Expr) -> tuple[str, ...]:
+    """The atom names of e in first-occurrence order, left to right."""
+    return _names(_leaves(e))
+
+
+def atoms_until_u(e: Expr) -> tuple[tuple[str, ...], bool]:
+    """The atoms of e whose first occurrence is left of its leftmost U, if
+    any, and whether e has a U: one walk reads both."""
+    leaves = _leaves(e)
+    names = _names(leaves)  # TypeError unless e is closed
+    if UNDEF not in leaves:
+        return names, False
+    return _names(leaves[: leaves.index(UNDEF)]), True
+
+
 def atoms_before_u(e: Expr) -> tuple[str, ...]:
     """The atoms of e whose first occurrence is left of its leftmost U."""
-    atoms_of(e)  # TypeError unless e is closed
-    leaves = _leaves(e)
-    if UNDEF in leaves:
-        leaves = leaves[: leaves.index(UNDEF)]
-    return tuple(t.name for t in leaves if type(t) is Atom)
+    return atoms_until_u(e)[0]
 
 
 def alphabet(e: Expr) -> set[str]:

@@ -1,27 +1,62 @@
 """Every module-level table of fel, made and recorded here as a plain dict.
 
 A unique table maps the fields of a hash-consed tree or expression to the
-one object with those fields; a computed table maps an operation's
-arguments to its result.  reset() never drops a unique entry whose object
-is live, or an equal object built later would compare unequal to it.
+one object with those fields; each Interned class makes its own.  A
+computed table maps an operation's arguments to its result; computed()
+makes one.  reset() never drops a unique entry whose object is live, or an
+equal object built later would compare unequal to it.
 """
+
+from __future__ import annotations
 
 import sys
 
 _COMPUTED: list[dict] = []
 _UNIQUE: list[dict] = []
+_set = object.__setattr__
+
+
+class Interned:
+    """Base class of evaltree's trees, Expr and scl.SclExpr: immutable and hash-consed.
+
+    Each class keeps a unique table keyed by the tuple of its fields, its
+    slots without a leading underscore, and __new__ returns the one object
+    with those fields, so equality is identity.
+    """
+
+    __slots__ = ()
+    _table: dict[tuple, Interned]
+
+    def __init_subclass__(cls):
+        cls._table = {}
+        _UNIQUE.append(cls._table)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __new__(cls, *fields):
+        e = cls._table.get(fields)
+        if e is None:
+            if len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields")
+            e = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                _set(e, name, value)
+            cls._table[fields] = e
+        return e
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def computed() -> dict:
     """A new computed table, emptied by reset()."""
     _COMPUTED.append({})
     return _COMPUTED[-1]
-
-
-def unique() -> dict:
-    """A new unique table, whose unheld entries reset() drops."""
-    _UNIQUE.append({})
-    return _UNIQUE[-1]
 
 
 def reset() -> None:

@@ -15,7 +15,7 @@ import random
 import time
 
 import fel
-from fel import axioms, evaltree, fnf, invert, models, normalforms, semantics, syntax, tables
+from fel import axioms, fnf, invert, models, normalforms, semantics, syntax, tables
 from fel.evaltree import FALSE, TRUE, UNDEF, Leaf, node
 from fel.fnf import FnfCategory
 from fel.semantics import tree_and, tree_not, tree_or
@@ -29,15 +29,14 @@ A, B = syntax.mk_atom("a"), syntax.mk_atom("b")
 
 def test_every_table_is_made_by_tables():
     # reset() reaches every table without knowing its name: each private
-    # module-level dict of fel but the constant _LEAVES, and each interned
-    # class's unique table, is made by fel.tables.
+    # module-level dict of fel, and each interned class's unique table, is
+    # made by fel.tables.
     made = {id(t) for t in tables._COMPUTED + tables._UNIQUE}
     stray = []
     for info in pkgutil.iter_modules(fel.__path__):
         mod = importlib.import_module(f"fel.{info.name}")
         for name, val in vars(mod).items():
-            if (name.startswith("_") and not name.startswith("__")
-                    and isinstance(val, dict) and val is not evaltree._LEAVES):
+            if name.startswith("_") and not name.startswith("__") and isinstance(val, dict):
                 if id(val) not in made:
                     stray.append(f"{mod.__name__}.{name}")
             elif (isinstance(val, type) and issubclass(val, syntax.Interned)

@@ -33,6 +33,18 @@ def test_too_deep_input_exits_2():
         assert "error: input nested too deeply" in r.output
 
 
+def test_parse_prints_a_long_chain():
+    # The parser reads a chain with a loop and the printer writes it with
+    # an explicit stack, so neither is bounded by the recursion limit.  No
+    # expression is a local: the runner's frames keep this frame alive in
+    # a reference cycle, and with it every object its locals hold.
+    text = " & ".join(["a"] * 1200)
+    assert syntax.print_expr(syntax.parse(text)) == text
+    r = run("parse", text)
+    assert r.exit_code == 0
+    assert r.output.strip() == text
+
+
 def test_tree_formats():
     r = run("tree", "a & b")
     assert r.exit_code == 0

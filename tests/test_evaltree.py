@@ -38,21 +38,23 @@ def replace_leaves(x, mapping):
     """Simultaneously replace leaf kinds by trees; unmapped kinds stay.
 
     The general leaf substitution, kept here as the oracle for subst and
-    for invert's placeholder contexts.
+    for invert's placeholder contexts.  A module-level walk, not a
+    recursive closure, so that no call leaves a reference cycle holding
+    trees for the cyclic collector, which would make what reset() can
+    free depend on when that collector runs.
     """
-    memo = {}
+    return _replace(x, mapping, {})
 
-    def go(t):
-        r = memo.get(t)
-        if r is None:
-            if isinstance(t, Leaf):
-                r = mapping.get(t.kind, t)
-            else:
-                r = node(t.atom, go(t.left), go(t.right))
-            memo[t] = r
-        return r
 
-    return go(x)
+def _replace(t, mapping, memo):
+    r = memo.get(t)
+    if r is None:
+        if isinstance(t, Leaf):
+            r = mapping.get(t.kind, t)
+        else:
+            r = node(t.atom, _replace(t.left, mapping, memo), _replace(t.right, mapping, memo))
+        memo[t] = r
+    return r
 
 
 def test_leaf_constructors():
@@ -153,6 +155,20 @@ def test_direct_construction_is_interned():
         x.atom = "b"
     with pytest.raises(AttributeError):
         TRUE.kind = "F"
+
+
+def test_trees_are_interned_like_expressions():
+    assert issubclass(Leaf, tables.Interned) and issubclass(Node, tables.Interned)
+    assert syntax.Interned is tables.Interned
+    assert Leaf._table is not Node._table and Node._table is evaltree._NODES
+    # node() builds over Node's unique table itself, Node() through
+    # Interned.__new__: whichever runs first, the other finds its tree.
+    x = node("fresh_a", TRUE, FALSE)
+    assert Node("fresh_a", TRUE, FALSE) is x
+    y = Node("fresh_b", x, UNDEF)
+    assert node("fresh_b", x, UNDEF) is y
+    assert y.left is x and y.right is UNDEF
+    assert Leaf._table == {(kind,): leaf(kind) for kind in evaltree.LEAF_KINDS}
 
 
 def _shape(t):

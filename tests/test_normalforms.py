@@ -88,6 +88,18 @@ def test_undefined_normal_form_of_a_long_chain():
     assert normalize_mfelu(p) == SigmaNormalForm(tuple(atoms), u_sigma(atoms))
 
 
+def test_normalizers_keep_their_u_messages_and_reject_open_terms():
+    with pytest.raises(ValueError, match="normalize_mfel rejects U; use normalize_mfelu"):
+        normalize_mfel(P("a & U"))
+    with pytest.raises(ValueError, match="normalize_clfel2 rejects U; use normalize_clfelu"):
+        normalize_clfel2(P("a & U"))
+    x = syntax.Var("x")
+    for p in (syntax.mk_and(x, syntax.mk_atom("a")), syntax.mk_and(syntax.UNDEF, x)):
+        for normalize in (normalize_mfel, normalize_mfelu, normalize_clfel2, normalize_clfelu):
+            with pytest.raises(TypeError, match="not a closed expression"):
+                normalize(p)
+
+
 def test_normalize_clfel2_examples():
     assert normalize_clfel2(P("b & a")) == normalize_clfel2(P("a & b"))
     assert normalize_clfel2(P("(b | a) & b")) == normalize_clfel2(P("(a | T) & b"))

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 
 import pytest
 from hypothesis import given
@@ -84,5 +85,23 @@ def test_print_scl():
     )
 
 
+def test_print_scl_of_a_long_chain():
+    chain = Atom("a")
+    for _ in range(1199):
+        chain = ScAnd(chain, Atom("a"))
+    assert print_scl(chain) == " && ".join(["a"] * 1200)
+
+
 def test_repr_uses_printer():
     assert repr(ScOr(Atom("a"), SC_FALSE)) == "<scl a || F>"
+
+
+def test_bridge_check_of_a_deep_right_nested_chain():
+    # translate_t uses each right operand twice; se walks the translated
+    # DAG once per distinct subterm, not once per path.
+    p = syntax.mk_atom("a")
+    for _ in range(23):
+        p = syntax.mk_and(syntax.mk_atom("a"), p)
+    start = time.monotonic()
+    assert bridge_check(p)
+    assert time.monotonic() - start < 1

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from fel import syntax
+from fel import normalforms, scl, syntax
 from fel.syntax import (
     FALSE,
     TRUE,
@@ -81,6 +81,28 @@ def test_parse_leaves_no_reference_cycle():
         for _ in range(100):
             parse("(a & !b) | (c & (d | T)) & !U")
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_printers_and_normal_form_walks_leave_no_reference_cycle():
+    # The printer and the normal-form walks are module-level functions,
+    # like the parser, so reference counts alone free what a call makes.
+    e = parse("(a & !b) | (c & (d | T)) & !U")
+    sc = scl.translate_t(parse("(a & !b) | (c & (d | T))"))
+    nf = normalforms.normalize_mfel(parse("a & b | c"))
+    calls = (lambda: print_expr(e), lambda: scl.print_scl(sc),
+             lambda: normalforms.permute_sigma_nf(nf, "cab"),
+             lambda: list(normalforms.enumerate_sigma_nf("ab")))
+    for call in calls:
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            for _ in range(100):
+                call()
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
