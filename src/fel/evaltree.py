@@ -15,7 +15,7 @@ import json
 from typing import Iterator
 
 from . import tables
-from .syntax import Atom
+from .syntax import _ATOM_RE
 from .tables import Interned
 
 LEAF_KINDS = ("T", "F", "U", "D", "D1", "D2")
@@ -155,9 +155,28 @@ def tree_to_json(x: EvalTree) -> dict:
 
 def tree_from_json(data) -> EvalTree:
     """Read back tree_to_json's form, or its JSON text; ValueError if malformed."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    return _from_json(data)
+    try:
+        if isinstance(data, str):
+            t = json.loads(data, object_hook=_tree_of)
+            if isinstance(t, EvalTree):
+                return t
+            data = json.loads(data)  # malformed: the walk below names the fault
+        return _from_json(data)
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None
+
+
+def _tree_of(d: dict):
+    """json's object_hook, called children first: the tree d spells, or d
+    itself if it spells none, since d may lie under a key no tree reads."""
+    if "leaf" in d:
+        kind = d["leaf"]
+        return Leaf._table.get((kind,), d) if type(kind) is str else d
+    atom, left, right = d.get("atom"), d.get("left"), d.get("right")
+    if (type(atom) is str and _ATOM_RE.match(atom)
+            and isinstance(left, EvalTree) and isinstance(right, EvalTree)):
+        return node(atom, left, right)
+    return d
 
 
 def _from_json(d) -> EvalTree:
@@ -167,9 +186,8 @@ def _from_json(d) -> EvalTree:
         return leaf(d["leaf"])  # ValueError unless it names a leaf kind
     if "atom" in d:
         atom = d["atom"]
-        if not isinstance(atom, str):
+        if not isinstance(atom, str) or not _ATOM_RE.match(atom):
             raise ValueError(f"invalid atom name {atom!r}")
-        Atom(atom)  # ValueError unless atom names an atom
         if "left" not in d or "right" not in d:
             raise ValueError("tree JSON node needs 'left' and 'right' keys")
         return node(atom, _from_json(d["left"]), _from_json(d["right"]))

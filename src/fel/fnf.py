@@ -40,7 +40,10 @@ def classify(e: syntax.Expr) -> FnfCategory:
     """The unique grammatical category of e, or NOT_FNF."""
     c = _CATEGORY_CACHE.get(e)
     if c is None:
-        c = _classify(e)
+        try:
+            c = _classify(e)
+        except RecursionError:
+            raise ValueError("input nested too deeply") from None
         _CATEGORY_CACHE[e] = c
     return c
 
@@ -216,6 +219,13 @@ def _merge_t_star(star: syntax.Expr, t_star: syntax.Expr) -> syntax.Expr:
 
 def normalize_ffel(p: syntax.Expr) -> syntax.Expr:
     """The normal form of an arbitrary U-free expression."""
+    try:
+        return _normalize_ffel(p)
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None
+
+
+def _normalize_ffel(p: syntax.Expr) -> syntax.Expr:
     if isinstance(p, Atom):
         return mk_and(TRUE, mk_and(p, TRUE))
     if isinstance(p, syntax.ConstT) or isinstance(p, syntax.ConstF):
@@ -223,14 +233,14 @@ def normalize_ffel(p: syntax.Expr) -> syntax.Expr:
     if isinstance(p, syntax.ConstU):
         raise ValueError("normalize_ffel rejects U; use normalize_ffelu")
     if isinstance(p, Not):
-        return fnf_negate(normalize_ffel(p.operand))
+        return fnf_negate(_normalize_ffel(p.operand))
     if isinstance(p, FullAnd):
-        return fnf_and(normalize_ffel(p.left), normalize_ffel(p.right))
+        return fnf_and(_normalize_ffel(p.left), _normalize_ffel(p.right))
     if isinstance(p, FullOr):
         return fnf_negate(
             fnf_and(
-                fnf_negate(normalize_ffel(p.left)),
-                fnf_negate(normalize_ffel(p.right)),
+                fnf_negate(_normalize_ffel(p.left)),
+                fnf_negate(_normalize_ffel(p.right)),
             )
         )
     raise TypeError(f"not a closed expression: {p!r}")
@@ -263,4 +273,7 @@ def normalize_ffelu(p: syntax.Expr) -> syntax.Expr:
     """
     if not syntax.contains_u(p):
         return normalize_ffel(p)
-    return u_sigma(all_u_labels(semantics.fe_u(p)))
+    try:
+        return u_sigma(all_u_labels(semantics.fe_u(p)))
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None

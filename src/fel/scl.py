@@ -97,6 +97,13 @@ def _se(p: SclExpr, done: dict) -> EvalTree:
 
 def translate_t(p: syntax.Expr) -> SclExpr:
     """Express a full-evaluation term with short-circuit connectives."""
+    try:
+        return _translate_t(p)
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None
+
+
+def _translate_t(p: syntax.Expr) -> SclExpr:
     if isinstance(p, syntax.ConstU):
         raise ValueError("short-circuit terms have no U")
     if isinstance(p, syntax.ConstT):
@@ -106,12 +113,12 @@ def translate_t(p: syntax.Expr) -> SclExpr:
     if isinstance(p, syntax.Atom):
         return Atom(p.name)
     if isinstance(p, syntax.Not):
-        return Not(translate_t(p.operand))
+        return Not(_translate_t(p.operand))
     if isinstance(p, syntax.FullAnd):
-        tl, tr = translate_t(p.left), translate_t(p.right)
+        tl, tr = _translate_t(p.left), _translate_t(p.right)
         return ScAnd(ScOr(tl, ScAnd(tr, SC_FALSE)), tr)
     if isinstance(p, syntax.FullOr):
-        tl, tr = translate_t(p.left), translate_t(p.right)
+        tl, tr = _translate_t(p.left), _translate_t(p.right)
         return ScOr(ScAnd(tl, ScOr(tr, SC_TRUE)), tr)
     raise TypeError(f"not a closed expression: {p!r}")
 

@@ -9,7 +9,7 @@ are left-associative.  Atoms match [a-z][a-z0-9_]*.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn
 
 from .tables import Interned
 
@@ -78,9 +78,47 @@ FALSE = ConstF()
 UNDEF = ConstU()
 
 mk_atom = Atom
-mk_not = Not
-mk_and = FullAnd
-mk_or = FullOr
+
+# The hot constructors build over their classes' unique tables themselves,
+# as evaltree.node() does over Node's: a hit is one dict.get, and a miss
+# records the object that the class call, such as FullAnd(l, r), returns.
+_ATOMS: dict[tuple, Atom] = Atom._table
+_NOTS: dict[tuple, Not] = Not._table
+_ANDS: dict[tuple, FullAnd] = FullAnd._table
+_ORS: dict[tuple, FullOr] = FullOr._table
+_set = object.__setattr__
+
+
+def mk_not(operand: Expr) -> Not:
+    key = (operand,)
+    e = _NOTS.get(key)
+    if e is None:
+        e = object.__new__(Not)
+        _set(e, "operand", operand)
+        _NOTS[key] = e
+    return e
+
+
+def mk_and(left: Expr, right: Expr) -> FullAnd:
+    key = (left, right)
+    e = _ANDS.get(key)
+    if e is None:
+        e = object.__new__(FullAnd)
+        _set(e, "left", left)
+        _set(e, "right", right)
+        _ANDS[key] = e
+    return e
+
+
+def mk_or(left: Expr, right: Expr) -> FullOr:
+    key = (left, right)
+    e = _ORS.get(key)
+    if e is None:
+        e = object.__new__(FullOr)
+        _set(e, "left", left)
+        _set(e, "right", right)
+        _ORS[key] = e
+    return e
 
 
 class ParseError(ValueError):
@@ -92,85 +130,104 @@ class ParseError(ValueError):
         )
 
 
-_TOKEN_RE = re.compile(r"\s*(?:([a-z][a-z0-9_]*)|([TFU])|([&|!()])|(\S))")
+# The '(' and '!' open at once that parse accepts.  Terms are walked
+# downstream one frame per level (normalize_ffel, fe_u, translate_t), and
+# this is half the interpreter's default recursion limit.
+MAX_NESTING = 500
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        at = m.start(m.lastindex)
-        if m.group(4):
-            raise ParseError(at, ["a token"])
-        if m.group(1):
-            tokens.append(("atom", m.group(1), at))
-        elif m.group(2):
-            tokens.append(("const", m.group(2), at))
-        else:
-            tokens.append((m.group(3), m.group(3), at))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+_TOKEN = re.compile(r"[a-z][a-z0-9_]*|\S")
+_scan = _TOKEN.findall
+# Matches up to the first non-space character that starts no token, if any.
+_TOKENIZES = re.compile(r"(?:\s*(?:[a-z][a-z0-9_]*|[TFU&|!()]))*\s*")
+_OPERAND = ("'T'", "'F'", "'U'", "an atom", "'!'", "'('")
+_AFTER_TOP = ("'&'", "'|'", "end of input")
+_AFTER_OPEN = ("')'", "'&'", "'|'")
 
 
 def parse(text: str) -> Expr:
     """Parse concrete syntax into an Expr; ParseError carries byte offset.
 
-    A recursive descent over (tokens, position) by module-level functions,
-    one Python frame or more per nesting level, so input nested past the
-    recursion limit raises ValueError; no call leaves a reference cycle.
+    One operator-precedence loop over the tokens, recursing nowhere.  A
+    level holds its pending operands and operators as three values: the
+    disjunction and the conjunction read so far and the count of '!' before
+    the coming operand; each open '(' pushes the enclosing level's three.
+    More than MAX_NESTING '(' and '!' open at once raise ValueError before
+    the rest is read.
     """
-    tokens = _tokenize(text)
-    try:
-        e, i = _expr(tokens, 0)
-    except RecursionError:
-        raise ValueError("input nested too deeply") from None
-    kind, _, at = tokens[i]
-    if kind != "end":
-        raise ParseError(at, ["'&'", "'|'", "end of input"])
-    return e
+    tokens = _scan(text)
+    tokens.append("")  # end of input
+    atoms = _ATOMS
+    stack = []  # per open '(': the enclosing level's (d, c, negs)
+    d = c = None  # this level's disjunction and pending conjunction so far
+    negs = 0  # the '!' read before the coming operand
+    depth = 0  # the '(' and '!' open at once
+    i = 0
+    while True:
+        # An operand: '!'s and '('s, then an atom or a constant.
+        tok = tokens[i]
+        i += 1
+        if tok == "!" or tok == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                _fail(text)
+            if tok == "!":
+                negs += 1
+            else:
+                stack.append((d, c, negs))
+                d = c = None
+                negs = 0
+            continue
+        if "a" <= tok < "{":  # a scanned token starting with [a-z] is an atom
+            e = atoms.get((tok,)) or Atom(tok)
+        elif tok == "T":
+            e = TRUE
+        elif tok == "F":
+            e = FALSE
+        elif tok == "U":
+            e = UNDEF
+        else:
+            _fail(text, i - 1, _OPERAND)
+        # Close what the operand completes: its negations, a pending '&',
+        # and the level when ')' follows.
+        while True:
+            if negs:
+                depth -= negs
+                while negs:
+                    e = mk_not(e)
+                    negs -= 1
+            c = e if c is None else mk_and(c, e)
+            tok = tokens[i]
+            i += 1
+            if tok == "&":
+                break
+            if tok == "|":
+                d = c if d is None else mk_or(d, c)
+                c = None
+                break
+            e = c if d is None else mk_or(d, c)
+            if tok == ")" and stack:
+                d, c, negs = stack.pop()
+                depth -= 1
+            elif tok == "" and not stack:
+                return e
+            else:
+                _fail(text, i - 1, _AFTER_OPEN if stack else _AFTER_TOP)
 
 
-# Each takes the tokens and a position and returns (expression, next position).
-def _expr(tokens, i):
-    e, i = _conjunction(tokens, i)
-    while tokens[i][0] == "|":
-        r, i = _conjunction(tokens, i + 1)
-        e = mk_or(e, r)
-    return e, i
+def _fail(text: str, at=None, expected=()) -> NoReturn:
+    """Raise parse's error: at the at-th token, or too deep if at is None.
 
-
-def _conjunction(tokens, i):
-    e, i = _unary(tokens, i)
-    while tokens[i][0] == "&":
-        r, i = _unary(tokens, i + 1)
-        e = mk_and(e, r)
-    return e, i
-
-
-def _unary(tokens, i):
-    if tokens[i][0] == "!":
-        e, i = _unary(tokens, i + 1)
-        return mk_not(e), i
-    return _primary(tokens, i)
-
-
-def _primary(tokens, i):
-    kind, value, at = tokens[i]
-    if kind == "atom":
-        return mk_atom(value), i + 1
-    if kind == "const":
-        return {"T": TRUE, "F": FALSE, "U": UNDEF}[value], i + 1
-    if kind == "(":
-        e, i = _expr(tokens, i + 1)
-        kind2, _, at2 = tokens[i]
-        if kind2 != ")":
-            raise ParseError(at2, ["')'", "'&'", "'|'"])
-        return e, i + 1
-    raise ParseError(at, ["'T'", "'F'", "'U'", "an atom", "'!'", "'('"])
+    Only here are byte offsets read.  An invalid character anywhere in the
+    text is the error reported, as when the text was tokenized first.
+    """
+    bad = _TOKENIZES.match(text).end()
+    if bad < len(text):
+        raise ParseError(bad, ["a token"])
+    if at is None:
+        raise ValueError("input nested too deeply")
+    offsets = [m.start() for m in _TOKEN.finditer(text)]
+    offsets.append(len(text))
+    raise ParseError(offsets[at], expected)
 
 
 # Each class's spelling for print_term: a constant's text, None for a class
@@ -325,12 +382,19 @@ def str_of(e: Expr) -> str:
 
 def nnf(e: Expr) -> Expr:
     """Push negations down to atoms; !U stays U, !!P collapses."""
+    try:
+        return _nnf(e)
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None
+
+
+def _nnf(e: Expr) -> Expr:
     if isinstance(e, (Atom, ConstT, ConstF, ConstU)):
         return e
     if isinstance(e, FullAnd):
-        return mk_and(nnf(e.left), nnf(e.right))
+        return mk_and(_nnf(e.left), _nnf(e.right))
     if isinstance(e, FullOr):
-        return mk_or(nnf(e.left), nnf(e.right))
+        return mk_or(_nnf(e.left), _nnf(e.right))
     if isinstance(e, Not):
         q = e.operand
         if isinstance(q, Atom):
@@ -342,16 +406,23 @@ def nnf(e: Expr) -> Expr:
         if isinstance(q, ConstU):
             return UNDEF
         if isinstance(q, Not):
-            return nnf(q.operand)
+            return _nnf(q.operand)
         if isinstance(q, FullAnd):
-            return mk_or(nnf(mk_not(q.left)), nnf(mk_not(q.right)))
+            return mk_or(_nnf(mk_not(q.left)), _nnf(mk_not(q.right)))
         if isinstance(q, FullOr):
-            return mk_and(nnf(mk_not(q.left)), nnf(mk_not(q.right)))
+            return mk_and(_nnf(mk_not(q.left)), _nnf(mk_not(q.right)))
     raise TypeError(f"not a closed expression: {e!r}")
 
 
 def dual(e: Expr) -> Expr:
     """Swap & with | and T with F; atoms, variables, !, U are self-dual."""
+    try:
+        return _dual(e)
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None
+
+
+def _dual(e: Expr) -> Expr:
     if isinstance(e, (Atom, Var, ConstU)):
         return e
     if isinstance(e, ConstT):
@@ -359,9 +430,9 @@ def dual(e: Expr) -> Expr:
     if isinstance(e, ConstF):
         return TRUE
     if isinstance(e, Not):
-        return mk_not(dual(e.operand))
+        return mk_not(_dual(e.operand))
     if isinstance(e, FullAnd):
-        return mk_or(dual(e.left), dual(e.right))
+        return mk_or(_dual(e.left), _dual(e.right))
     if isinstance(e, FullOr):
-        return mk_and(dual(e.left), dual(e.right))
+        return mk_and(_dual(e.left), _dual(e.right))
     raise TypeError(f"not a closed expression: {e!r}")

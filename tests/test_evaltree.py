@@ -126,6 +126,80 @@ def test_json_roundtrip():
             tree_from_json(bad)
 
 
+def _oracle_from_json(d):
+    """tree_from_json's walk before it read JSON text in one pass."""
+    if not isinstance(d, dict):
+        raise ValueError("tree JSON must be an object")
+    if "leaf" in d:
+        return leaf(d["leaf"])
+    if "atom" in d:
+        atom = d["atom"]
+        if not isinstance(atom, str):
+            raise ValueError(f"invalid atom name {atom!r}")
+        syntax.Atom(atom)
+        if "left" not in d or "right" not in d:
+            raise ValueError("tree JSON node needs 'left' and 'right' keys")
+        return node(atom, _oracle_from_json(d["left"]), _oracle_from_json(d["right"]))
+    raise ValueError("tree JSON object needs a 'leaf' or 'atom' key")
+
+
+_ODD = ("A", "", "a b", "1a", "D3", 5, None, [1], {"leaf": "T"}, {"x": 1}, '{"leaf": "T"}')
+
+
+def _random_json(rng, height):
+    """A random tree in tree_to_json's form, sometimes spoilt or padded."""
+    if height == 0 or rng.random() < 0.3:
+        d = {"leaf": rng.choice(evaltree.LEAF_KINDS)}
+    else:
+        d = {"atom": rng.choice(("a", "b", "x_1")),
+             "left": _random_json(rng, height - 1), "right": _random_json(rng, height - 1)}
+    k = rng.randrange(12)
+    if k == 0:
+        d[rng.choice(("leaf", "atom", "left", "right"))] = rng.choice(_ODD)
+    elif k == 1:
+        d.pop(rng.choice(list(d)))
+    elif k == 2:
+        d["extra"] = _random_json(rng, 1) if rng.random() < 0.5 else rng.choice(_ODD)
+    elif k == 3:
+        return rng.choice(_ODD)
+    return d
+
+
+def _json_outcome(read, data):
+    try:
+        return read(data)
+    except ValueError as err:
+        return str(err)
+
+
+def test_json_reader_matches_the_walk_oracle():
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(3000):
+        d = _random_json(rng, rng.randrange(5))
+        want = _json_outcome(_oracle_from_json, d)
+        if not isinstance(d, str):  # a string is read as JSON text
+            assert _json_outcome(tree_from_json, d) == want
+        assert _json_outcome(tree_from_json, json.dumps(d)) == want
+        outcomes.add(type(want))
+    assert outcomes == {str, Leaf, Node}
+
+
+def test_json_reader_interns_no_expression_atom():
+    tree_from_json('{"atom": "json_only", "left": {"leaf": "T"}, "right": {"leaf": "F"}}')
+    assert ("json_only",) not in syntax.Atom._table
+
+
+def test_json_reader_refuses_over_deep_input():
+    text, data = '{"leaf": "T"}', {"leaf": "T"}
+    for _ in range(3000):
+        text = '{"atom": "a", "left": ' + text + ', "right": {"leaf": "F"}}'
+        data = {"atom": "a", "left": data, "right": {"leaf": "F"}}
+    for arg in (text, data):
+        with pytest.raises(ValueError, match="input nested too deeply"):
+            tree_from_json(arg)
+
+
 def test_render_ascii():
     x = node("a", TRUE, FALSE)
     assert render(x, "ascii") == "a\n  T\n  F"

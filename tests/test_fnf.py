@@ -106,3 +106,15 @@ def test_normalizer_restates_idempotently():
     for s in ("a & b | !c", "!(a | b) & (b | !a)", "a | (b & F)"):
         n = normalize_ffel(P(s))
         assert normalize_ffel(n) == n
+
+
+def test_normalizers_and_classify_refuse_over_deep_input():
+    # A chain is walked one frame per conjunct; the public entries turn
+    # the interpreter's RecursionError into the ValueError parse raises.
+    chain = P(" & ".join(["deep_a"] * 1200))
+    with_u = syntax.mk_and(chain, syntax.UNDEF)
+    calls = (lambda: classify(chain), lambda: normalize_ffel(chain),
+             lambda: normalize_ffelu(chain), lambda: normalize_ffelu(with_u))
+    for call in calls:
+        with pytest.raises(ValueError, match="input nested too deeply"):
+            call()

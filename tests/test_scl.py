@@ -105,3 +105,9 @@ def test_bridge_check_of_a_deep_right_nested_chain():
     start = time.monotonic()
     assert bridge_check(p)
     assert time.monotonic() - start < 1
+
+
+def test_translate_t_refuses_over_deep_input():
+    chain = syntax.parse(" & ".join(["a"] * 1200))
+    with pytest.raises(ValueError, match="input nested too deeply"):
+        translate_t(chain)
