@@ -157,26 +157,10 @@ def tree_from_json(data) -> EvalTree:
     """Read back tree_to_json's form, or its JSON text; ValueError if malformed."""
     try:
         if isinstance(data, str):
-            t = json.loads(data, object_hook=_tree_of)
-            if isinstance(t, EvalTree):
-                return t
-            data = json.loads(data)  # malformed: the walk below names the fault
+            data = json.loads(data)
         return _from_json(data)
     except RecursionError:
         raise ValueError("input nested too deeply") from None
-
-
-def _tree_of(d: dict):
-    """json's object_hook, called children first: the tree d spells, or d
-    itself if it spells none, since d may lie under a key no tree reads."""
-    if "leaf" in d:
-        kind = d["leaf"]
-        return Leaf._table.get((kind,), d) if type(kind) is str else d
-    atom, left, right = d.get("atom"), d.get("left"), d.get("right")
-    if (type(atom) is str and _ATOM_RE.match(atom)
-            and isinstance(left, EvalTree) and isinstance(right, EvalTree)):
-        return node(atom, left, right)
-    return d
 
 
 def _from_json(d) -> EvalTree:

@@ -130,9 +130,13 @@ class ParseError(ValueError):
         )
 
 
-# The '(' and '!' open at once that parse accepts.  Terms are walked
-# downstream one frame per level (normalize_ffel, fe_u, translate_t), and
-# this is half the interpreter's default recursion limit.
+# The '(' and '!' open at once that parse accepts.  Each '!' adds a level
+# to the term, and this count bounds those levels.  A '(' adds none, since
+# '((a))' is a, and a '&' or '|' chain of any length still parses, so the
+# walks downstream that take a frame per level guard RecursionError
+# themselves.  '(' is counted only so that parentheses nested past the
+# bound stay refused: perfbench/worker.py's check_answer still fails on
+# an answered 'deep' request.
 MAX_NESTING = 500
 
 _TOKEN = re.compile(r"[a-z][a-z0-9_]*|\S")
