@@ -22,6 +22,7 @@ from . import semantics, syntax, tables
 from .evaltree import FALSE, TRUE, UNDEF, EvalTree, node, subst
 from .semantics import FREE, Logic, both_sides, from_full, memo, tree_atoms
 from .syntax import Expr, Var
+from .tables import fold
 
 _VAR_NAMES = ("x", "y", "z", "u", "v", "w")
 
@@ -62,31 +63,24 @@ class AxiomSet:
         return AxiomSet(f"{self.name}-{name}", rest)
 
 
-def variables_of(t: Expr) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, syntax.Not):
-        return variables_of(t.operand)
-    if isinstance(t, (syntax.FullAnd, syntax.FullOr)):
-        return variables_of(t.left) | variables_of(t.right)
-    return set()
+# variables_of's clauses for tables.fold.
+VARIABLES = {
+    **dict.fromkeys((syntax.Atom, syntax.ConstT, syntax.ConstF, syntax.ConstU),
+                    lambda t: frozenset()),
+    Var: lambda t: frozenset((t.name,)),
+    syntax.Not: lambda t, x: x,
+    syntax.FullAnd: lambda t, l, r: l | r,
+    syntax.FullOr: lambda t, l, r: l | r,
+}
 
 
-def _map_leaves(e: Expr, f) -> Expr:
-    """e with every leaf t (an atom, a constant or a variable) replaced by f(t)."""
-    if isinstance(e, syntax.Not):
-        return syntax.mk_not(_map_leaves(e.operand, f))
-    if isinstance(e, syntax.FullAnd):
-        return syntax.mk_and(_map_leaves(e.left, f), _map_leaves(e.right, f))
-    if isinstance(e, syntax.FullOr):
-        return syntax.mk_or(_map_leaves(e.left, f), _map_leaves(e.right, f))
-    return f(e)
+def variables_of(t: Expr) -> frozenset[str]:
+    return fold(t, VARIABLES, "an open term")
 
 
 def _to_open(e: Expr) -> Expr:
     """Reread the reserved atom names x,y,z,u,v,w as metavariables."""
-    opened = lambda t: Var(t.name) if isinstance(t, syntax.Atom) and t.name in _VAR_NAMES else t
-    return _map_leaves(e, opened)
+    return fold(e, syntax.REBUILD, "an expression", {syntax.Atom(n): Var(n) for n in _VAR_NAMES})
 
 
 def _eq(name: str, lhs: str, rhs: str, signature: str = WITHOUT_U) -> Equation:
@@ -99,8 +93,9 @@ def instantiate(eq: Equation, assignment: dict[str, Expr]) -> tuple[Expr, Expr]:
     if missing:
         raise ValueError(f"assignment misses variables: {', '.join(sorted(missing))}")
 
-    closed = lambda t: assignment[t.name] if isinstance(t, Var) else t
-    return _map_leaves(eq.lhs, closed), _map_leaves(eq.rhs, closed)
+    done = {Var(n): e for n, e in assignment.items()}
+    lhs = fold(eq.lhs, syntax.REBUILD, "an open term", done)
+    return lhs, fold(eq.rhs, syntax.REBUILD, "an open term", done)
 
 
 # --- the axiom tables ---

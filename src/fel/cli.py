@@ -145,10 +145,13 @@ def axioms_cmd(logic_name, set_name, exhaustive_opt, random_opt):
         strategy = axioms.Random(count=kv.get("n", 100), seed=kv.get("seed", 0))
     else:
         kv = _parse_kv(exhaustive_opt, {"atoms": int, "depth": int}) if exhaustive_opt else {}
-        natoms = kv.get("atoms", 2)
+        natoms, depth = kv.get("atoms", 2), kv.get("depth", 3)
         if not 0 <= natoms <= 8:
             raise ValueError(f"atoms must be between 0 and 8, got {natoms}")
-        strategy = axioms.Exhaustive(atoms=tuple("abcdefgh"[:natoms]), depth=kv.get("depth", 3))
+        # Exhaustive refuses a depth below 1; depth 4 over two atoms is 21,050,320 terms.
+        if depth > 3:
+            raise ValueError(f"depth must be at most 3, got {depth}")
+        strategy = axioms.Exhaustive(atoms=tuple("abcdefgh"[:natoms]), depth=depth)
     report = axioms.check_set(logic, axset, strategy)
     for v in report:
         if v:

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import tables
 from .syntax import _ATOM_RE
-from .tables import Interned
+from .tables import Interned, fold
 
 LEAF_KINDS = ("T", "F", "U", "D", "D1", "D2")
 
@@ -97,22 +97,19 @@ def subst(x: EvalTree, kt: EvalTree, kf: EvalTree) -> EvalTree:
     return r
 
 
+# Clause tables of tables.fold over trees.  REBUILD builds a tree back, so a
+# fold that starts from replacements for some subtrees substitutes them.
+REBUILD = {Leaf: lambda x: x, Node: lambda x, l, r: node(x.atom, l, r)}
+DEPTH = {Leaf: lambda x: 0, Node: lambda x, l, r: 1 + max(l, r)}
+TO_JSON = {
+    Leaf: lambda x: {"leaf": x.kind},
+    Node: lambda x, l, r: {"atom": x.atom, "left": l, "right": r},
+}
+
+
 def depth(x: EvalTree) -> int:
-    """The number of nodes on x's longest path, read by a loop."""
-    done: dict[EvalTree, int] = {}
-    stack = [x]
-    while stack:
-        t = stack[-1]
-        if isinstance(t, Leaf):
-            done[t] = 0
-        else:
-            left, right = done.get(t.left), done.get(t.right)
-            if left is None or right is None:
-                stack += [c for c in (t.right, t.left) if c not in done]
-                continue
-            done[t] = 1 + max(left, right)
-        stack.pop()
-    return done[x]
+    """The number of nodes on x's longest path."""
+    return fold(x, DEPTH, "an evaluation tree")
 
 
 def leaf_kinds(x: EvalTree) -> frozenset[str]:
@@ -144,13 +141,8 @@ def iter_subtrees(x: EvalTree) -> Iterator[EvalTree]:
 
 
 def tree_to_json(x: EvalTree) -> dict:
-    if isinstance(x, Leaf):
-        return {"leaf": x.kind}
-    return {
-        "atom": x.atom,
-        "left": tree_to_json(x.left),
-        "right": tree_to_json(x.right),
-    }
+    """x as nested objects; a subtree that x shares is one shared object."""
+    return fold(x, TO_JSON, "an evaluation tree")
 
 
 def tree_from_json(data) -> EvalTree:
@@ -185,26 +177,36 @@ def render(x: EvalTree, format: str = "ascii", middle_u: bool = False) -> str:
     of every node, which is always the leaf U.
     """
     if format == "json":
-        return json.dumps(tree_to_json(x))
+        try:
+            return json.dumps(tree_to_json(x))
+        except RecursionError:  # json.dumps recurses once per level
+            raise ValueError("input nested too deeply") from None
     if format == "dot":
-        lines = ["digraph evaltree {"]
-        _dot(x, lines, itertools.count())
-        lines.append("}")
-        return "\n".join(lines)
+        return "\n".join(["digraph evaltree {", *_dot(x), "}"])
     if format == "ascii":
         return "\n".join(_ascii(x, middle_u))
     raise ValueError(f"unknown render format {format!r}")
 
 
-def _dot(t: EvalTree, lines: list[str], ids) -> int:
-    """Append the dot lines of t, numbering its nodes from ids; t's number."""
-    me = next(ids)
-    label = t.kind if isinstance(t, Leaf) else t.atom
-    lines.append(f'  n{me} [label="{label}"];')
-    if isinstance(t, Node):
-        lines.append(f'  n{me} -> n{_dot(t.left, lines, ids)} [label="L"];')
-        lines.append(f'  n{me} -> n{_dot(t.right, lines, ids)} [label="R"];')
-    return me
+def _dot(x: EvalTree) -> Iterator[str]:
+    """The dot lines of x, its nodes numbered in preorder, read by a loop.
+
+    A node's edge line follows the lines of the subtree it points to.
+    """
+    ids = itertools.count()
+    stack: list = [(x, None, None)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        t, parent, side = item
+        me = next(ids)
+        yield f'  n{me} [label="{t.kind if isinstance(t, Leaf) else t.atom}"];'
+        if parent is not None:
+            stack.append(f'  n{parent} -> n{me} [label="{side}"];')
+        if isinstance(t, Node):
+            stack += [(t.right, me, "R"), (t.left, me, "L")]
 
 
 def _ascii(x: EvalTree, middle_u: bool) -> Iterator[str]:

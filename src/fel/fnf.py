@@ -14,10 +14,12 @@ can use the semantics as an independent oracle.
 from __future__ import annotations
 
 from enum import Enum
+from typing import NoReturn
 
 from . import semantics, syntax, tables
 from .evaltree import Node
 from .syntax import FALSE, TRUE, UNDEF, Atom, FullAnd, FullOr, Not, mk_and, mk_not, mk_or
+from .tables import fold
 
 
 class FnfCategory(Enum):
@@ -36,46 +38,51 @@ _TOP = (FnfCategory.T_TERM, FnfCategory.F_TERM, FnfCategory.T_STAR_TERM)
 _CATEGORY_CACHE: dict[syntax.Expr, FnfCategory] = tables.computed()
 
 
-def classify(e: syntax.Expr) -> FnfCategory:
-    """The unique grammatical category of e, or NOT_FNF."""
-    c = _CATEGORY_CACHE.get(e)
-    if c is None:
-        try:
-            c = _classify(e)
-        except RecursionError:
-            raise ValueError("input nested too deeply") from None
-        _CATEGORY_CACHE[e] = c
-    return c
-
-
 def _is_literal(e: syntax.Expr) -> bool:
     return isinstance(e, Atom) or (isinstance(e, Not) and isinstance(e.operand, Atom))
 
 
-def _classify(e: syntax.Expr) -> FnfCategory:
-    if isinstance(e, syntax.ConstT):
+def _or_category(e: FullOr, cl: FnfCategory, cr: FnfCategory) -> FnfCategory:
+    if isinstance(e.left, Atom) and cr is FnfCategory.T_TERM:
         return FnfCategory.T_TERM
-    if isinstance(e, syntax.ConstF):
-        return FnfCategory.F_TERM
-    if isinstance(e, FullOr):
-        cl, cr = classify(e.left), classify(e.right)
-        if isinstance(e.left, Atom) and cr is FnfCategory.T_TERM:
-            return FnfCategory.T_TERM
-        if cl in _STAR and cr in (FnfCategory.L_TERM, FnfCategory.STAR_CONJ):
-            return FnfCategory.STAR_DISJ
-        return FnfCategory.NOT_FNF
-    if isinstance(e, FullAnd):
-        cl, cr = classify(e.left), classify(e.right)
-        if _is_literal(e.left) and cr is FnfCategory.T_TERM:
-            return FnfCategory.L_TERM
-        if isinstance(e.left, Atom) and cr is FnfCategory.F_TERM:
-            return FnfCategory.F_TERM
-        if cl in _STAR and cr in (FnfCategory.L_TERM, FnfCategory.STAR_DISJ):
-            return FnfCategory.STAR_CONJ
-        if cl is FnfCategory.T_TERM and cr in _STAR:
-            return FnfCategory.T_STAR_TERM
-        return FnfCategory.NOT_FNF
+    if cl in _STAR and cr in (FnfCategory.L_TERM, FnfCategory.STAR_CONJ):
+        return FnfCategory.STAR_DISJ
     return FnfCategory.NOT_FNF
+
+
+def _and_category(e: FullAnd, cl: FnfCategory, cr: FnfCategory) -> FnfCategory:
+    if _is_literal(e.left) and cr is FnfCategory.T_TERM:
+        return FnfCategory.L_TERM
+    if isinstance(e.left, Atom) and cr is FnfCategory.F_TERM:
+        return FnfCategory.F_TERM
+    if cl in _STAR and cr in (FnfCategory.L_TERM, FnfCategory.STAR_DISJ):
+        return FnfCategory.STAR_CONJ
+    if cl is FnfCategory.T_TERM and cr in _STAR:
+        return FnfCategory.T_STAR_TERM
+    return FnfCategory.NOT_FNF
+
+
+def _not_fnf(e: syntax.Expr, *parts) -> FnfCategory:
+    return FnfCategory.NOT_FNF
+
+
+# classify's clauses for tables.fold: the category of a term from its
+# operands'.  Atoms, negations and U are no category of their own.
+CATEGORY = {
+    syntax.ConstT: lambda e: FnfCategory.T_TERM,
+    syntax.ConstF: lambda e: FnfCategory.F_TERM,
+    FullOr: _or_category,
+    FullAnd: _and_category,
+    Atom: _not_fnf, Not: _not_fnf, syntax.ConstU: _not_fnf, syntax.Var: _not_fnf,
+}
+
+
+def classify(e: syntax.Expr) -> FnfCategory:
+    """The unique grammatical category of e, or NOT_FNF."""
+    c = _CATEGORY_CACHE.get(e)
+    if c is None:
+        c = fold(e, CATEGORY, "an expression", _CATEGORY_CACHE)
+    return c
 
 
 def _require(e: syntax.Expr, cats) -> FnfCategory:
@@ -217,33 +224,29 @@ def _merge_t_star(star: syntax.Expr, t_star: syntax.Expr) -> syntax.Expr:
     return r
 
 
+def _no_u(p: syntax.Expr) -> NoReturn:
+    raise ValueError("normalize_ffel rejects U; use normalize_ffelu")
+
+
+# normalize_ffel's clauses for tables.fold: each connective's normal form
+# from its operands' by the algebra above.
+NORMALIZE_FFEL = {
+    Atom: lambda p: mk_and(TRUE, mk_and(p, TRUE)),
+    syntax.ConstT: lambda p: p,
+    syntax.ConstF: lambda p: p,
+    syntax.ConstU: _no_u,
+    Not: lambda p, x: fnf_negate(x),
+    FullAnd: lambda p, l, r: fnf_and(l, r),
+    FullOr: lambda p, l, r: fnf_negate(fnf_and(fnf_negate(l), fnf_negate(r))),
+}
+
+
 def normalize_ffel(p: syntax.Expr) -> syntax.Expr:
     """The normal form of an arbitrary U-free expression."""
     try:
-        return _normalize_ffel(p)
-    except RecursionError:
+        return fold(p, NORMALIZE_FFEL, "a closed expression")
+    except RecursionError:  # the algebra recurses along the normal forms
         raise ValueError("input nested too deeply") from None
-
-
-def _normalize_ffel(p: syntax.Expr) -> syntax.Expr:
-    if isinstance(p, Atom):
-        return mk_and(TRUE, mk_and(p, TRUE))
-    if isinstance(p, syntax.ConstT) or isinstance(p, syntax.ConstF):
-        return p
-    if isinstance(p, syntax.ConstU):
-        raise ValueError("normalize_ffel rejects U; use normalize_ffelu")
-    if isinstance(p, Not):
-        return fnf_negate(_normalize_ffel(p.operand))
-    if isinstance(p, FullAnd):
-        return fnf_and(_normalize_ffel(p.left), _normalize_ffel(p.right))
-    if isinstance(p, FullOr):
-        return fnf_negate(
-            fnf_and(
-                fnf_negate(_normalize_ffel(p.left)),
-                fnf_negate(_normalize_ffel(p.right)),
-            )
-        )
-    raise TypeError(f"not a closed expression: {p!r}")
 
 
 def u_sigma(sigma) -> syntax.Expr:

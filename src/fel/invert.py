@@ -16,6 +16,7 @@ from typing import Iterator
 
 from . import semantics, syntax
 from .evaltree import (
+    REBUILD,
     EvalTree,
     FALSE,
     HOLE,
@@ -27,9 +28,9 @@ from .evaltree import (
     depth,
     iter_subtrees,
     leaf_kinds,
-    node,
     subst,
 )
+from .tables import fold
 
 _TF = frozenset(("T", "F"))
 _ONLY_T = frozenset(("T",))
@@ -53,22 +54,6 @@ class Decomposition:
 def _check_tf(x: EvalTree) -> None:
     if not leaf_kinds(x) <= _TF:
         raise ValueError("tree must have only T and F leaves")
-
-
-def _context(t: EvalTree, memo: dict) -> EvalTree:
-    """t with every outermost subtree that memo maps replaced by its image.
-
-    memo starts as those replacements and caches the walk, so each call
-    needs a fresh one.
-    """
-    r = memo.get(t)
-    if r is None:
-        if type(t) is Leaf:
-            r = t
-        else:
-            r = node(t.atom, _context(t.left, memo), _context(t.right, memo))
-        memo[t] = r
-    return r
 
 
 def _conj_fills(z: EvalTree) -> tuple[EvalTree, EvalTree]:
@@ -95,7 +80,7 @@ def _scan(x: EvalTree, fills, d1: Leaf, d2: Leaf | None) -> Iterator[Decompositi
     for z in iter_subtrees(x):
         if leaf_kinds(z) == _TF:
             first, second = fills(z)
-            y = _context(x, {first: d1, second: d2})
+            y = fold(x, REBUILD, "an evaluation tree", {first: d1, second: d2})
             if leaf_kinds(y) == kinds:
                 yield Decomposition(y, z)
 
@@ -188,12 +173,12 @@ def g_star(x: EvalTree) -> syntax.Expr:
     if ccds:
         d = _pick_minimal(ccds, "conjunction decomposition")
         first, second = _conj_fills(d.core)
-        left = _context(x, {first: TRUE, second: FALSE})
+        left = fold(x, REBUILD, "an evaluation tree", {first: TRUE, second: FALSE})
         return syntax.mk_and(g_star(left), g_star(d.core))
     if cdds:
         d = _pick_minimal(cdds, "disjunction decomposition")
         first, second = _disj_fills(d.core)
-        left = _context(x, {first: TRUE, second: FALSE})
+        left = fold(x, REBUILD, "an evaluation tree", {first: TRUE, second: FALSE})
         return syntax.mk_or(g_star(left), g_star(d.core))
     return g_ell(x)
 
@@ -210,7 +195,7 @@ def g(x: EvalTree) -> syntax.Expr:
             e = g_f(x)
         else:
             d = tsd(x)
-            t_part = g_t(_context(x, {d.core: TRUE}))
+            t_part = g_t(fold(x, REBUILD, "an evaluation tree", {d.core: TRUE}))
             e = syntax.mk_and(t_part, g_star(d.core))
     except NoDecomposition as err:
         raise NotInImage(str(err)) from None

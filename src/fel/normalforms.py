@@ -17,6 +17,7 @@ from . import semantics, syntax, tables
 from .evaltree import UNDEF, EvalTree, Leaf, Node
 from .fnf import normalize_ffel, normalize_ffelu, u_sigma
 from .syntax import Expr, FALSE, TRUE, mk_and, mk_atom, mk_not, mk_or
+from .tables import fold
 
 
 @dataclass(frozen=True)
@@ -73,20 +74,16 @@ def f_tilde_sigma(sigma) -> Expr:
 _READ_BACK: dict = tables.computed()
 
 
-def _read_back(tree) -> Expr:
-    e = _READ_BACK.get(tree)
-    if e is None:
-        if isinstance(tree, Leaf):
-            if tree.kind == "T":
-                e = TRUE
-            elif tree.kind == "F":
-                e = FALSE
-            else:
-                raise ValueError(f"cannot read back a {tree.kind} leaf")
-        else:
-            e = h(mk_atom(tree.atom), _read_back(tree.left), _read_back(tree.right))
-        _READ_BACK[tree] = e
-    return e
+def _leaf_back(x: Leaf) -> Expr:
+    if x.kind == "T":
+        return TRUE
+    if x.kind == "F":
+        return FALSE
+    raise ValueError(f"cannot read back a {x.kind} leaf")
+
+
+# The h-nest read-back of a perfect tree, as clauses for tables.fold.
+READ_BACK = {Leaf: _leaf_back, Node: lambda x, l, r: h(mk_atom(x.atom), l, r)}
 
 
 def normalize_mfel(p: Expr) -> SigmaNormalForm:
@@ -126,7 +123,8 @@ def _sigma_nf(tree: EvalTree, u_error: str | None) -> SigmaNormalForm:
         t = t.left
     if t is UNDEF and u_error is not None:
         raise ValueError(u_error)
-    return SigmaNormalForm(tuple(sigma), u_sigma(sigma) if t is UNDEF else _read_back(tree))
+    body = u_sigma(sigma) if t is UNDEF else fold(tree, READ_BACK, "an evaluation tree", _READ_BACK)
+    return SigmaNormalForm(tuple(sigma), body)
 
 
 # The normal form of each logic that has one; sfel has none.

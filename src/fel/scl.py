@@ -9,8 +9,11 @@ tree (se(t(p)) = fe(p)).
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from . import semantics, syntax
 from .evaltree import EvalTree, FALSE, TRUE, node, subst
+from .tables import fold
 
 
 class SclExpr(syntax.Interned):
@@ -64,63 +67,46 @@ def sc_or(x: EvalTree, y: EvalTree) -> EvalTree:
     return subst(x, TRUE, y)
 
 
+# se's clauses for tables.fold.
+SE = {
+    ScAnd: lambda p, l, r: sc_and(l, r),
+    ScOr: lambda p, l, r: sc_or(l, r),
+    Not: lambda p, x: semantics.tree_not(x),
+    Atom: lambda p: node(p.name, TRUE, FALSE),
+    ConstT: lambda p: TRUE,
+    ConstF: lambda p: FALSE,
+}
+
+
 def se(p: SclExpr) -> EvalTree:
     """Short-circuit evaluation tree; not perfect in general.
 
-    A memo that lives for this call visits each distinct subterm once:
-    translate_t's terms use each right operand twice.
+    Each distinct subterm is evaluated once: translate_t's terms use each
+    right operand twice.
     """
-    return _se(p, {})
+    return fold(p, SE, "a short-circuit expression")
 
 
-def _se(p: SclExpr, done: dict) -> EvalTree:
-    t = done.get(p)
-    if t is None:
-        cls = type(p)
-        if cls is ScAnd:
-            t = sc_and(_se(p.left, done), _se(p.right, done))
-        elif cls is ScOr:
-            t = sc_or(_se(p.left, done), _se(p.right, done))
-        elif cls is Not:
-            t = semantics.tree_not(_se(p.operand, done))
-        elif cls is Atom:
-            t = node(p.name, TRUE, FALSE)
-        elif cls is ConstT:
-            t = TRUE
-        elif cls is ConstF:
-            t = FALSE
-        else:
-            raise TypeError(f"not a short-circuit expression: {p!r}")
-        done[p] = t
-    return t
+def _no_u(p: syntax.Expr) -> NoReturn:
+    raise ValueError("short-circuit terms have no U")
+
+
+# translate_t's clauses for tables.fold: each right operand is wrapped so
+# that it is evaluated whatever the left one yields.
+TRANSLATE_T = {
+    syntax.ConstU: _no_u,
+    syntax.ConstT: lambda p: SC_TRUE,
+    syntax.ConstF: lambda p: SC_FALSE,
+    syntax.Atom: lambda p: Atom(p.name),
+    syntax.Not: lambda p, x: Not(x),
+    syntax.FullAnd: lambda p, tl, tr: ScAnd(ScOr(tl, ScAnd(tr, SC_FALSE)), tr),
+    syntax.FullOr: lambda p, tl, tr: ScOr(ScAnd(tl, ScOr(tr, SC_TRUE)), tr),
+}
 
 
 def translate_t(p: syntax.Expr) -> SclExpr:
     """Express a full-evaluation term with short-circuit connectives."""
-    try:
-        return _translate_t(p)
-    except RecursionError:
-        raise ValueError("input nested too deeply") from None
-
-
-def _translate_t(p: syntax.Expr) -> SclExpr:
-    if isinstance(p, syntax.ConstU):
-        raise ValueError("short-circuit terms have no U")
-    if isinstance(p, syntax.ConstT):
-        return SC_TRUE
-    if isinstance(p, syntax.ConstF):
-        return SC_FALSE
-    if isinstance(p, syntax.Atom):
-        return Atom(p.name)
-    if isinstance(p, syntax.Not):
-        return Not(_translate_t(p.operand))
-    if isinstance(p, syntax.FullAnd):
-        tl, tr = _translate_t(p.left), _translate_t(p.right)
-        return ScAnd(ScOr(tl, ScAnd(tr, SC_FALSE)), tr)
-    if isinstance(p, syntax.FullOr):
-        tl, tr = _translate_t(p.left), _translate_t(p.right)
-        return ScOr(ScAnd(tl, ScOr(tr, SC_TRUE)), tr)
-    raise TypeError(f"not a closed expression: {p!r}")
+    return fold(p, TRANSLATE_T, "a closed expression")
 
 
 def bridge_check(p: syntax.Expr) -> bool:

@@ -32,6 +32,7 @@ from .evaltree import (
     node,
     subst,
 )
+from .tables import fold
 
 _PLACEHOLDERS = frozenset(("D", "D1", "D2"))
 
@@ -48,38 +49,32 @@ def tree_or(x: EvalTree, y: EvalTree) -> EvalTree:
     return subst(x, subst(y, TRUE, TRUE), y)
 
 
+# fe_open's clauses for tables.fold; memo_open's memorise each connective's tree.
+OPEN = {
+    syntax.FullAnd: lambda t, x, y: tree_and(x, y),
+    syntax.FullOr: lambda t, x, y: tree_or(x, y),
+    syntax.Not: lambda t, x: tree_not(x),
+    syntax.Atom: lambda t: node(t.name, TRUE, FALSE),
+    syntax.ConstT: lambda t: TRUE,
+    syntax.ConstF: lambda t: FALSE,
+    syntax.ConstU: lambda t: UNDEF,
+}
+MEMO_OPEN = {
+    **OPEN,
+    syntax.FullAnd: lambda t, x, y: memo(tree_and(x, y)),
+    syntax.FullOr: lambda t, x, y: memo(tree_or(x, y)),
+    syntax.Not: lambda t, x: memo(tree_not(x)),
+}
+
+
 def fe_open(t: syntax.Expr, env: dict[str, EvalTree]) -> EvalTree:
     """The full evaluation tree of t, each variable's tree read from env."""
-    return _open(t, env, None)
+    return fold(t, OPEN, "a closed expression", {syntax.Var(n): x for n, x in env.items()})
 
 
 def memo_open(t: syntax.Expr, env: dict[str, EvalTree]) -> EvalTree:
     """memo(fe_open(t, env)), memorising each connective's tree so that every tree stays small."""
-    return _open(t, env, memo)
-
-
-def _open(t: syntax.Expr, env: dict[str, EvalTree], reduce) -> EvalTree:
-    """The evaluation clauses; reduce, unless None, maps each connective's tree."""
-    cls = type(t)
-    if cls is syntax.FullAnd:
-        r = tree_and(_open(t.left, env, reduce), _open(t.right, env, reduce))
-    elif cls is syntax.FullOr:
-        r = tree_or(_open(t.left, env, reduce), _open(t.right, env, reduce))
-    elif cls is syntax.Not:
-        r = tree_not(_open(t.operand, env, reduce))
-    elif cls is syntax.Atom:
-        return node(t.name, TRUE, FALSE)
-    elif cls is syntax.Var and t.name in env:
-        return env[t.name]
-    elif cls is syntax.ConstT:
-        return TRUE
-    elif cls is syntax.ConstF:
-        return FALSE
-    elif cls is syntax.ConstU:
-        return UNDEF
-    else:
-        raise TypeError(f"not a closed expression: {t!r}")
-    return r if reduce is None else reduce(r)
+    return fold(t, MEMO_OPEN, "a closed expression", {syntax.Var(n): x for n, x in env.items()})
 
 
 def fe_u(p: syntax.Expr) -> EvalTree:
@@ -280,15 +275,15 @@ def sfe_tree(beta, x: EvalTree) -> EvalTree:
 _ATOMS_CACHE: dict[EvalTree, frozenset] = tables.computed()
 
 
+# tree_atoms' clauses for tables.fold.
+TREE_ATOMS = {Leaf: lambda x: frozenset(), Node: lambda x, l, r: l | r | {x.atom}}
+
+
 def tree_atoms(x: EvalTree) -> frozenset:
     """The atoms labelling x; for x = fe_u(p), the alphabet of p."""
     r = _ATOMS_CACHE.get(x)
     if r is None:
-        if isinstance(x, Leaf):
-            r = frozenset()
-        else:
-            r = tree_atoms(x.left) | tree_atoms(x.right) | {x.atom}
-        _ATOMS_CACHE[x] = r
+        r = fold(x, TREE_ATOMS, "an evaluation tree", _ATOMS_CACHE)
     return r
 
 

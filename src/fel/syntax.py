@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NoReturn
 
-from .tables import Interned
+from .tables import Interned, fold
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -132,11 +132,13 @@ class ParseError(ValueError):
 
 # The '(' and '!' open at once that parse accepts.  Each '!' adds a level
 # to the term, and this count bounds those levels.  A '(' adds none, since
-# '((a))' is a, and a '&' or '|' chain of any length still parses, so the
-# walks downstream that take a frame per level guard RecursionError
-# themselves.  '(' is counted only so that parentheses nested past the
-# bound stay refused: perfbench/worker.py's check_answer still fails on
-# an answered 'deep' request.
+# '((a))' is a, and a '&' or '|' chain of any length still parses.  Most
+# walks downstream are loops (tables.fold); evaluate and fnf's
+# normalize_ffel and normalize_ffelu recurse and turn RecursionError into
+# this ValueError themselves, and the hot tree walks such as subst recurse
+# along the trees.  '(' is counted only so that parentheses nested past the
+# bound stay refused: perfbench/worker.py's check_answer still fails on an
+# answered 'deep' request.
 MAX_NESTING = 500
 
 _TOKEN = re.compile(r"[a-z][a-z0-9_]*|\S")
@@ -338,11 +340,6 @@ def atoms_until_u(e: Expr) -> tuple[tuple[str, ...], bool]:
     return _names(leaves[: leaves.index(UNDEF)]), True
 
 
-def atoms_before_u(e: Expr) -> tuple[str, ...]:
-    """The atoms of e whose first occurrence is left of its leftmost U."""
-    return atoms_until_u(e)[0]
-
-
 def alphabet(e: Expr) -> set[str]:
     """The set of atoms occurring in e."""
     return set(atoms_of(e))
@@ -384,59 +381,40 @@ def str_of(e: Expr) -> str:
     return "".join(atoms_of(e))
 
 
+def _same(e: Expr) -> Expr:
+    return e
+
+
+# Clause tables of tables.fold over expressions.  REBUILD builds a term
+# back, so a fold that starts from replacements for some subterms
+# substitutes them; DUAL swaps & with | and T with F.
+REBUILD = {
+    Atom: _same, Var: _same, ConstT: _same, ConstF: _same, ConstU: _same,
+    Not: lambda e, x: mk_not(x),
+    FullAnd: lambda e, l, r: mk_and(l, r),
+    FullOr: lambda e, l, r: mk_or(l, r),
+}
+DUAL = {
+    **REBUILD, ConstT: lambda e: FALSE, ConstF: lambda e: TRUE,
+    FullAnd: lambda e, l, r: mk_or(l, r), FullOr: lambda e, l, r: mk_and(l, r),
+}
+# nnf's clauses, over the pair (nnf of e, nnf of !e): a ! swaps the pair.
+NNF = {
+    Atom: lambda e: (e, mk_not(e)),
+    ConstT: lambda e: (TRUE, FALSE),
+    ConstF: lambda e: (FALSE, TRUE),
+    ConstU: lambda e: (UNDEF, UNDEF),
+    Not: lambda e, x: x[::-1],
+    FullAnd: lambda e, l, r: (mk_and(l[0], r[0]), mk_or(l[1], r[1])),
+    FullOr: lambda e, l, r: (mk_or(l[0], r[0]), mk_and(l[1], r[1])),
+}
+
+
 def nnf(e: Expr) -> Expr:
     """Push negations down to atoms; !U stays U, !!P collapses."""
-    try:
-        return _nnf(e)
-    except RecursionError:
-        raise ValueError("input nested too deeply") from None
-
-
-def _nnf(e: Expr) -> Expr:
-    if isinstance(e, (Atom, ConstT, ConstF, ConstU)):
-        return e
-    if isinstance(e, FullAnd):
-        return mk_and(_nnf(e.left), _nnf(e.right))
-    if isinstance(e, FullOr):
-        return mk_or(_nnf(e.left), _nnf(e.right))
-    if isinstance(e, Not):
-        q = e.operand
-        if isinstance(q, Atom):
-            return mk_not(q)
-        if isinstance(q, ConstT):
-            return FALSE
-        if isinstance(q, ConstF):
-            return TRUE
-        if isinstance(q, ConstU):
-            return UNDEF
-        if isinstance(q, Not):
-            return _nnf(q.operand)
-        if isinstance(q, FullAnd):
-            return mk_or(_nnf(mk_not(q.left)), _nnf(mk_not(q.right)))
-        if isinstance(q, FullOr):
-            return mk_and(_nnf(mk_not(q.left)), _nnf(mk_not(q.right)))
-    raise TypeError(f"not a closed expression: {e!r}")
+    return fold(e, NNF, "a closed expression")[0]
 
 
 def dual(e: Expr) -> Expr:
     """Swap & with | and T with F; atoms, variables, !, U are self-dual."""
-    try:
-        return _dual(e)
-    except RecursionError:
-        raise ValueError("input nested too deeply") from None
-
-
-def _dual(e: Expr) -> Expr:
-    if isinstance(e, (Atom, Var, ConstU)):
-        return e
-    if isinstance(e, ConstT):
-        return FALSE
-    if isinstance(e, ConstF):
-        return TRUE
-    if isinstance(e, Not):
-        return mk_not(_dual(e.operand))
-    if isinstance(e, FullAnd):
-        return mk_or(_dual(e.left), _dual(e.right))
-    if isinstance(e, FullOr):
-        return mk_and(_dual(e.left), _dual(e.right))
-    raise TypeError(f"not a closed expression: {e!r}")
+    return fold(e, DUAL, "an expression")

@@ -4,7 +4,8 @@ A unique table maps the fields of a hash-consed tree or expression to the
 one object with those fields; each Interned class makes its own.  A
 computed table maps an operation's arguments to its result; computed()
 makes one.  reset() never drops a unique entry whose object is live, or an
-equal object built later would compare unequal to it.
+equal object built later would compare unequal to it.  fold() is the one
+structural recursion over the hash-consed terms and trees, run as a loop.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ class Interned:
         cls._table = {}
         _UNIQUE.append(cls._table)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # fold's subterm fields: left and right, or operand, or none.
+        cls._arity = 2 if "right" in cls._fields else 1 if "operand" in cls._fields else 0
 
     def __new__(cls, *fields):
         e = cls._table.get(fields)
@@ -51,6 +54,48 @@ class Interned:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def fold(root: Interned, clauses: dict, what: str, done: dict | None = None):
+    """root's value under a structural recursion, computed by a loop.
+
+    clauses maps a class to its clause, which gets a term t of that class
+    and the values of t's subterm fields: operand, or left and right.
+    Each distinct subterm of root's DAG is valued once, children first and
+    left to right, from an explicit stack, so a term of any depth folds.
+    done, if given, holds known values: a subterm found there is not
+    entered, and every value computed is added to it.  A class without a
+    clause raises TypeError naming what root should be.  A node waiting
+    for its children goes back on the stack under them, so it is met again
+    once they are valued.
+    """
+    if done is None:
+        done = {}
+    stack = [root]
+    pop = stack.pop
+    while stack:
+        t = pop()
+        if t in done:
+            continue
+        clause = clauses.get(type(t))
+        if clause is None:
+            raise TypeError(f"not {what}: {t!r}")
+        arity = t._arity
+        if arity == 2:
+            left, right = t.left, t.right
+            if left in done and right in done:
+                done[t] = clause(t, done[left], done[right])
+            else:
+                stack += (t, right, left)
+        elif arity == 1:
+            operand = t.operand
+            if operand in done:
+                done[t] = clause(t, done[operand])
+            else:
+                stack += (t, operand)
+        else:
+            done[t] = clause(t)
+    return done[root]
 
 
 def computed() -> dict:

@@ -145,6 +145,7 @@ def test_axioms_usage_errors():
         ("--random", "n=0"),
         ("--exhaustive", "atoms=9"),
         ("--exhaustive", "atoms=-1"),
+        ("--exhaustive", "depth=4"),
     ):
         r = run("axioms", "--set", "eqffel", *args)
         assert r.exit_code == 2

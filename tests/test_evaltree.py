@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import json
 import pickle
 import random
@@ -210,6 +211,37 @@ def test_render_dot():
     out = render(node("a", TRUE, FALSE), "dot")
     assert out.startswith("digraph")
     assert 'label="a"' in out and 'label="L"' in out and 'label="R"' in out
+
+
+def _oracle_dot(t, lines, ids):
+    """The recursive dot walk that render's loop replaced, kept as its oracle."""
+    me = next(ids)
+    lines.append(f'  n{me} [label="{t.kind if isinstance(t, Leaf) else t.atom}"];')
+    if isinstance(t, Node):
+        lines.append(f'  n{me} -> n{_oracle_dot(t.left, lines, ids)} [label="L"];')
+        lines.append(f'  n{me} -> n{_oracle_dot(t.right, lines, ids)} [label="R"];')
+    return me
+
+
+def test_render_dot_matches_the_recursive_walk():
+    rng = random.Random(16)
+    for _ in range(300):
+        x = fe(axioms._random_term(rng, ("a", "b", "c"), False, 4))
+        lines = ["digraph evaltree {"]
+        _oracle_dot(x, lines, itertools.count())
+        assert render(x, "dot") == "\n".join(lines + ["}"])
+
+
+def test_render_of_a_deep_spine():
+    # dot is a loop; json.dumps recurses once per level, and its
+    # RecursionError becomes the ValueError that tree_from_json raises.
+    x = TRUE
+    for _ in range(1200):
+        x = node("a", x, FALSE)
+    out = render(x, "dot").splitlines()
+    assert len(out) == 2 + 2401 + 2400 and out[1] == '  n0 [label="a"];'
+    with pytest.raises(ValueError, match="input nested too deeply"):
+        render(x, "json")
 
 
 def test_render_json():

@@ -108,13 +108,16 @@ def test_normalizer_restates_idempotently():
         assert normalize_ffel(n) == n
 
 
-def test_normalizers_and_classify_refuse_over_deep_input():
-    # A chain is walked one frame per conjunct; the public entries turn
-    # the interpreter's RecursionError into the ValueError parse raises.
+def test_normalizers_and_classify_answer_on_deep_input():
+    # classify and normalize_ffel are folds over the term (tables.fold),
+    # and each step of the fnf algebra meets its operands' forms already
+    # built, so a chain past the recursion limit answers.  fe_u still
+    # recurses along the term: normalize_ffelu of the chain with U refuses.
     chain = P(" & ".join(["deep_a"] * 1200))
     with_u = syntax.mk_and(chain, syntax.UNDEF)
-    calls = (lambda: classify(chain), lambda: normalize_ffel(chain),
-             lambda: normalize_ffelu(chain), lambda: normalize_ffelu(with_u))
-    for call in calls:
-        with pytest.raises(ValueError, match="input nested too deeply"):
-            call()
+    assert classify(chain) is FnfCategory.NOT_FNF
+    nf = P("T & (deep_a & T" + " & (deep_a & T)" * 1199 + ")")
+    assert normalize_ffel(chain) is nf
+    assert normalize_ffelu(chain) is nf
+    with pytest.raises(ValueError, match="input nested too deeply"):
+        normalize_ffelu(with_u)
