@@ -44,7 +44,7 @@ class EvalTree(Interned):
 
 
 class Leaf(EvalTree):
-    __slots__ = ("kind", "_kinds")
+    __slots__ = ("kind",)
     kind: str
 
     def __new__(cls, kind: str) -> Leaf:
@@ -54,7 +54,7 @@ class Leaf(EvalTree):
 
 
 class Node(EvalTree):
-    __slots__ = ("atom", "left", "right", "_kinds")
+    __slots__ = ("atom", "left", "right")
     atom: str
     left: EvalTree
     right: EvalTree
@@ -112,32 +112,39 @@ def depth(x: EvalTree) -> int:
     return fold(x, DEPTH, "an evaluation tree")
 
 
+_KINDS_CACHE: dict[EvalTree, frozenset[str]] = tables.computed()
+
+# leaf_kinds' clauses for tables.fold.
+KINDS = {Leaf: lambda x: frozenset((x.kind,)), Node: lambda x, l, r: l | r}
+
+
 def leaf_kinds(x: EvalTree) -> frozenset[str]:
-    """The exact set of leaf kinds occurring in x (cached on the tree)."""
-    ks = getattr(x, "_kinds", None)
-    if ks is None:
-        if isinstance(x, Leaf):
-            ks = frozenset((x.kind,))
-        else:
-            ks = leaf_kinds(x.left) | leaf_kinds(x.right)
-        _set(x, "_kinds", ks)
-    return ks
+    """The exact set of leaf kinds occurring in x."""
+    r = _KINDS_CACHE.get(x)
+    if r is None:
+        r = fold(x, KINDS, "an evaluation tree", _KINDS_CACHE)
+    return r
 
 
 def iter_subtrees(x: EvalTree) -> Iterator[EvalTree]:
     """All distinct subtrees of x, children before parents, left before right."""
-    seen: set[EvalTree] = set()
-    stack: list[tuple[EvalTree, bool]] = [(x, False)]
-    while stack:
-        t, children_done = stack.pop()
-        if children_done:
-            yield t
-        elif t not in seen:
-            seen.add(t)
-            stack.append((t, True))
-            if isinstance(t, Node):
-                stack.append((t.right, False))
-                stack.append((t.left, False))
+    done: dict[EvalTree, int] = {}
+    fold(x, DEPTH, "an evaluation tree", done)  # records each subtree in that order
+    return iter(done)
+
+
+def spine(x: EvalTree) -> tuple[tuple[str, ...], Leaf]:
+    """The labels down x's left spine, and the leaf it ends in.
+
+    A memorised tree reads its whole atom order down every path, and the
+    full evaluation tree of a term with U has only U leaves (U aborts), so
+    the spine tells a perfect tree's atom order and whether a term has U.
+    """
+    labels = []
+    while type(x) is Node:
+        labels.append(x.atom)
+        x = x.left
+    return tuple(labels), x
 
 
 def tree_to_json(x: EvalTree) -> dict:

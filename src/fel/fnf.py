@@ -17,7 +17,7 @@ from enum import Enum
 from typing import NoReturn
 
 from . import semantics, syntax, tables
-from .evaltree import Node
+from .evaltree import spine
 from .syntax import FALSE, TRUE, UNDEF, Atom, FullAnd, FullOr, Not, mk_and, mk_not, mk_or
 from .tables import fold
 
@@ -257,15 +257,6 @@ def u_sigma(sigma) -> syntax.Expr:
     return e
 
 
-def all_u_labels(tree) -> list[str]:
-    """The path labels of an all-U chain, read down its left spine."""
-    labels = []
-    while isinstance(tree, Node):
-        labels.append(tree.atom)
-        tree = tree.left
-    return labels
-
-
 def normalize_ffelu(p: syntax.Expr) -> syntax.Expr:
     """Normal form over three truth values.
 
@@ -276,7 +267,4 @@ def normalize_ffelu(p: syntax.Expr) -> syntax.Expr:
     """
     if not syntax.contains_u(p):
         return normalize_ffel(p)
-    try:
-        return u_sigma(all_u_labels(semantics.fe_u(p)))
-    except RecursionError:
-        raise ValueError("input nested too deeply") from None
+    return u_sigma(spine(semantics.evaluate(semantics.FFELU, p))[0])

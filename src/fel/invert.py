@@ -136,22 +136,31 @@ def tsd(x: EvalTree) -> Decomposition:
     return cands[0]
 
 
+def _chain(x: EvalTree, value: str) -> list[str]:
+    """The labels of an all-value tree whose every node has equal branches."""
+    labels = []
+    while isinstance(x, Node):
+        if x.left is not x.right:
+            raise NotInImage(f"all-{value} tree with unequal branches")
+        labels.append(x.atom)
+        x = x.right
+    return labels
+
+
 def g_t(x: EvalTree) -> syntax.Expr:
-    """Invert an all-T tree to a T-term, descending the left branch."""
-    if isinstance(x, Leaf):
-        return syntax.TRUE
-    if x.left != x.right:
-        raise NotInImage("all-T tree with unequal branches")
-    return syntax.mk_or(syntax.mk_atom(x.atom), g_t(x.left))
+    """Invert an all-T tree to a T-term a1 | (a2 | ... | T)."""
+    e = syntax.TRUE
+    for a in reversed(_chain(x, "T")):
+        e = syntax.mk_or(syntax.mk_atom(a), e)
+    return e
 
 
 def g_f(x: EvalTree) -> syntax.Expr:
-    """Invert an all-F tree to an F-term, descending the right branch."""
-    if isinstance(x, Leaf):
-        return syntax.FALSE
-    if x.left != x.right:
-        raise NotInImage("all-F tree with unequal branches")
-    return syntax.mk_and(syntax.mk_atom(x.atom), g_f(x.right))
+    """Invert an all-F tree to an F-term a1 & (a2 & ... & F)."""
+    e = syntax.FALSE
+    for a in reversed(_chain(x, "F")):
+        e = syntax.mk_and(syntax.mk_atom(a), e)
+    return e
 
 
 def g_ell(x: EvalTree) -> syntax.Expr:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import semantics, syntax, tables
-from .evaltree import UNDEF, EvalTree, Leaf, Node
+from .evaltree import UNDEF, EvalTree, Leaf, Node, spine
 from .fnf import normalize_ffel, normalize_ffelu, u_sigma
 from .syntax import Expr, FALSE, TRUE, mk_and, mk_atom, mk_not, mk_or
 from .tables import fold
@@ -116,15 +116,11 @@ def _sigma_nf(tree: EvalTree, u_error: str | None) -> SigmaNormalForm:
     A perfect tree reads its whole atom order down every path, and the tree
     of a U term is all U: sigma is the atoms down the left spine.
     """
-    sigma = []
-    t = tree
-    while isinstance(t, Node):
-        sigma.append(t.atom)
-        t = t.left
-    if t is UNDEF and u_error is not None:
+    sigma, end = spine(tree)
+    if end is UNDEF and u_error is not None:
         raise ValueError(u_error)
-    body = u_sigma(sigma) if t is UNDEF else fold(tree, READ_BACK, "an evaluation tree", _READ_BACK)
-    return SigmaNormalForm(tuple(sigma), body)
+    body = u_sigma(sigma) if end is UNDEF else fold(tree, READ_BACK, "an evaluation tree", _READ_BACK)
+    return SigmaNormalForm(sigma, body)
 
 
 # The normal form of each logic that has one; sfel has none.

@@ -18,7 +18,7 @@ checker and the CLI all read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import syntax, tables
 from .evaltree import (
@@ -30,6 +30,7 @@ from .evaltree import (
     UNDEF,
     leaf_kinds,
     node,
+    spine,
     subst,
 )
 from .tables import fold
@@ -311,10 +312,15 @@ class Logic:
 
     name: str
     beta: tuple[str, ...] | None = None
+    # The row's two columns, read from LOGICS once.
+    tree: str = field(init=False, compare=False, repr=False)
+    allows_u: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.name not in LOGICS:
             raise ValueError(f"unknown logic {self.name!r} (expected one of {', '.join(LOGICS)})")
+        object.__setattr__(self, "tree", LOGICS[self.name][0])
+        object.__setattr__(self, "allows_u", LOGICS[self.name][1])
         if self.beta is not None:
             if self.tree is not SHARED:
                 raise ValueError(f"logic {self.name} does not take an alphabet")
@@ -325,14 +331,6 @@ class Logic:
         if self.beta is not None:
             return f"{self.name}({','.join(self.beta)})"
         return self.name
-
-    @property
-    def tree(self) -> str:
-        return LOGICS[self.name][0]
-
-    @property
-    def allows_u(self) -> bool:
-        return LOGICS[self.name][1]
 
 
 FFEL = Logic("ffel")
@@ -363,29 +361,35 @@ def _static_order(logic: Logic, beta, atoms) -> tuple[str, ...]:
 def evaluate(logic: Logic, p: syntax.Expr, beta=None) -> EvalTree:
     """The evaluation tree of p in the given logic.
 
-    A U-free p takes the direct route: fe_u(p) itself, or the perfect tree
-    over the logic's atom order.  With U, memo(fe_u(p)) is the all-U chain
-    over the atoms before the leftmost U and the static tree is U, both
-    without building fe_u(p), which may be exponential.  The direct route
-    recurses once per operator on a path of p, so a p nested past the
-    interpreter's recursion limit raises ValueError, as parse does.
+    The free logics build fe_u(p) and read whether p has U off its leftmost
+    leaf: U aborts, so the tree of a term with U has only U leaves.  The
+    others read p's atom order and the U test in one walk of p.  A U-free
+    p then takes the perfect tree over the logic's atom order; with U,
+    the memorised tree is the all-U chain over the atoms before the
+    leftmost U and the static tree is U, both without building fe_u(p),
+    which may be exponential.  fe_u and perfect_tree recurse once per
+    operator on a path of p, so a p nested past the interpreter's
+    recursion limit raises ValueError, as parse does, also where the
+    logic would refuse its U.
     """
     if beta is not None:
         logic = Logic(logic.name, beta)  # ValueError unless the logic is sfel
     kind = logic.tree
-    # Only the non-free logics need the atom order; they read it and the U test in one walk.
-    atoms, has_u = ((), syntax.contains_u(p)) if kind is FREE else syntax.atoms_until_u(p)
-    if has_u and not logic.allows_u:
-        raise ValueError(f"logic {logic} accepts only U-free expressions")
-    if has_u and kind is not FREE:
-        t = UNDEF
-        if kind is MEMO:
-            for a in reversed(atoms):
-                t = node(a, t, t)
-        return t
     try:
         if kind is FREE:
-            return fe_u(p)
+            t = fe_u(p)
+            if not logic.allows_u and spine(t)[1] is UNDEF:
+                raise ValueError(f"logic {logic} accepts only U-free expressions")
+            return t
+        atoms, has_u = syntax.atoms_until_u(p)
+        if has_u:
+            if not logic.allows_u:
+                raise ValueError(f"logic {logic} accepts only U-free expressions")
+            t = UNDEF
+            if kind is MEMO:
+                for a in reversed(atoms):
+                    t = node(a, t, t)
+            return t
         if kind is MEMO:
             return perfect_tree(atoms, p)
         return perfect_tree(_static_order(logic, beta, atoms), p)
@@ -405,10 +409,7 @@ def from_full(logic: Logic, x: EvalTree, beta=None) -> EvalTree:
         return x
     if kind is MEMO:
         return memo(x)
-    t = x
-    while isinstance(t, Node):
-        t = t.left
-    if t is UNDEF:
+    if spine(x)[1] is UNDEF:
         return UNDEF
     return sfe_tree(_static_order(logic, beta, tree_atoms(x)), x)
 

@@ -133,12 +133,12 @@ class ParseError(ValueError):
 # The '(' and '!' open at once that parse accepts.  Each '!' adds a level
 # to the term, and this count bounds those levels.  A '(' adds none, since
 # '((a))' is a, and a '&' or '|' chain of any length still parses.  Most
-# walks downstream are loops (tables.fold); evaluate and fnf's
-# normalize_ffel and normalize_ffelu recurse and turn RecursionError into
-# this ValueError themselves, and the hot tree walks such as subst recurse
-# along the trees.  '(' is counted only so that parentheses nested past the
-# bound stay refused: perfbench/worker.py's check_answer still fails on an
-# answered 'deep' request.
+# walks downstream are loops (tables.fold); evaluate (and fnf's
+# normalize_ffelu, through it) and normalize_ffel recurse and turn
+# RecursionError into this ValueError themselves, and the hot tree walks
+# such as subst recurse along the trees.  '(' is counted only so that
+# parentheses nested past the bound stay refused: perfbench/worker.py's
+# check_answer still fails on an answered 'deep' request.
 MAX_NESTING = 500
 
 _TOKEN = re.compile(r"[a-z][a-z0-9_]*|\S")
@@ -346,23 +346,8 @@ def alphabet(e: Expr) -> set[str]:
 
 
 def contains_u(e: Expr) -> bool:
-    # The walk of _leaves, stopping at the first U: evaluate runs it once
-    # per call, over the whole term when the term has no U.
-    seen: set[Expr] = set()
-    stack = [e]
-    while stack:
-        t = stack.pop()
-        cls = type(t)
-        if cls is FullAnd or cls is FullOr:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t.right)
-                stack.append(t.left)
-        elif cls is Not:
-            stack.append(t.operand)
-        elif cls is ConstU:
-            return True
-    return False
+    """Whether U occurs in e."""
+    return UNDEF in _leaves(e)
 
 
 def seq_filter(sigma, rho) -> str:

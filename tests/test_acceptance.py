@@ -30,7 +30,8 @@ A, B = syntax.mk_atom("a"), syntax.mk_atom("b")
 def test_every_table_is_made_by_tables():
     # reset() reaches every table without knowing its name: each private
     # module-level dict of fel, and each interned class's unique table, is
-    # made by fel.tables.
+    # made by fel.tables.  An interned object has a slot for each of its
+    # fields and no other, so no cache rides on it.
     made = {id(t) for t in tables._COMPUTED + tables._UNIQUE}
     stray = []
     for info in pkgutil.iter_modules(fel.__path__):
@@ -43,6 +44,8 @@ def test_every_table_is_made_by_tables():
                     and val is not syntax.Interned):
                 if id(val._table) not in made:
                     stray.append(f"{mod.__name__}.{name}._table")
+                if tuple(val.__slots__) != val._fields:
+                    stray.append(f"{mod.__name__}.{name}.__slots__")
     assert stray == []
     marker = object()
     for table in tables._COMPUTED:

@@ -70,6 +70,8 @@ ON_TREES = {
     "depth": lambda x: evaltree.depth(x) == 1200,
     "tree_to_json": lambda x: _left_depth(evaltree.tree_to_json(x)) == 1200,
     "tree_atoms": lambda x: semantics.tree_atoms(x) == {"a"},
+    "leaf_kinds": lambda x: evaltree.leaf_kinds(x) == {"T", "F"},
+    "iter_subtrees": lambda x: len(list(evaltree.iter_subtrees(x))) == 1202,
     "invert's contexts": lambda x: fold(x, evaltree.REBUILD, "a tree", {TRUE: HOLE1}) is _spine(1200, HOLE1),
     "read-back": lambda x: normalforms._sigma_nf(x, None).sigma == ("a",) * 1200,
     "render dot": lambda x: evaltree.render(x, "dot").count("->") == 2400,
@@ -96,6 +98,8 @@ FOREIGN = {
     "classify": fnf.classify,
     "normalize_ffel": fnf.normalize_ffel,
     "variables_of": axioms.variables_of,
+    "leaf_kinds": evaltree.leaf_kinds,
+    "iter_subtrees": evaltree.iter_subtrees,
 }
 
 
@@ -150,12 +154,11 @@ def _recursion_error_sites():
 def test_recursion_error_is_caught_only_where_a_walk_still_recurses():
     # The CLI boundary; tree_from_json and render, around json's recursion
     # (and tree_from_json's walk); normalize_ffel, around the fnf algebra;
-    # normalize_ffelu and evaluate, around fe_u and perfect_tree.
+    # evaluate, around fe_u and perfect_tree.
     assert _recursion_error_sites() == [
         ("cli", "invoke"),
         ("evaltree", "render"),
         ("evaltree", "tree_from_json"),
         ("fnf", "normalize_ffel"),
-        ("fnf", "normalize_ffelu"),
         ("semantics", "evaluate"),
     ]

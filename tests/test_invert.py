@@ -90,6 +90,15 @@ def test_g_rejects_placeholders_and_u():
         g(node("a", HOLE, HOLE))
 
 
+def test_g_of_a_deep_chain_raises_a_typed_error():
+    # g_t reads the chain by a loop; g's final fe check recurses along the term.
+    x = TRUE
+    for _ in range(1200):
+        x = node("a", x, x)
+    with pytest.raises(ValueError, match="^input nested too deeply$"):
+        g(x)
+
+
 # Reference scans that keep a candidate only when refilling its context's
 # placeholders gives the tree back; invert's scan leaves that check out,
 # because its contexts meet it by construction.

@@ -290,6 +290,18 @@ def test_every_logic_is_its_definition_exhaustively():
                 assert evaluate(logic, p) is from_full(logic, x)
 
 
+@pytest.mark.parametrize("logic", [FFEL, MFEL, CLFEL2, SFEL()], ids=str)
+def test_a_logic_without_u_refuses_exactly_the_terms_with_u(logic):
+    # ffel reads U off the tree's leftmost leaf, the others off their walk
+    # of the term: both against contains_u.
+    for p in axioms._universe(("a", "b"), 3, True):
+        if syntax.contains_u(p):
+            with pytest.raises(ValueError, match="accepts only U-free"):
+                evaluate(logic, p)
+        else:
+            evaluate(logic, p)
+
+
 def test_perfect_trees_match_memo_oracle_exhaustively():
     for p in axioms._universe(("a", "b"), 3, False):
         for beta in (("a", "b"), ("b", "c", "a")):
