@@ -304,62 +304,39 @@ class _Plan:
         self.logic = logic
         self.init: list = [None] * len(names)
         self.levels: list[list] = [[] for _ in range(len(names) + 1)]
-        # (slot, level) of each variable name, leaf tree, subterm and step.
-        index: dict = {n: (k, k) for k, n in enumerate(names)}
+        # (slot, level) of each variable, leaf tree, subterm and step.
+        index: dict = {Var(n): (k, k) for k, n in enumerate(names)}
         memorise = logic.tree is not FREE
-        self.lhs = self._walk(eq.lhs, index, memorise)[0]
-        self.rhs = self._walk(eq.rhs, index, memorise)[0]
 
-    def _leaf(self, t: EvalTree, index) -> tuple[int, int]:
-        r = index.get(t)
-        if r is None:
-            r = index[t] = (len(self.init), -1)
-            self.init.append(t)
-        return r
-
-    def _step(self, a, b, c, memorise: bool, index) -> tuple[int, int]:
-        key = (a[0], b[0], c[0], memorise)
-        r = index.get(key)
-        if r is None:
-            level = max(a[1], b[1], c[1])
-            r = index[key] = (len(self.init), level)
-            self.init.append(None)
-            self.levels[level + 1].append((r[0], a[0], b[0], c[0], memorise))
-        return r
-
-    def _walk(self, t: Expr, index, memorise: bool) -> tuple[int, int]:
-        """t's (slot, level), adding the steps it needs."""
-        cls = type(t)
-        if cls is Var:
-            return index[t.name]
-        r = index.get(t)
-        if r is not None:
+        def leaf(t: EvalTree) -> tuple[int, int]:
+            r = index.get(t)
+            if r is None:
+                r = index[t] = (len(self.init), -1)
+                self.init.append(t)
             return r
-        if cls is syntax.Not:
-            x = self._walk(t.operand, index, memorise)
-            r = self._step(x, self._leaf(FALSE, index), self._leaf(TRUE, index), memorise, index)
-        elif cls is syntax.FullAnd:
-            x = self._walk(t.left, index, memorise)
-            y = self._walk(t.right, index, memorise)
-            f = self._leaf(FALSE, index)
-            r = self._step(x, y, self._step(y, f, f, False, index), memorise, index)
-        elif cls is syntax.FullOr:
-            x = self._walk(t.left, index, memorise)
-            y = self._walk(t.right, index, memorise)
-            tt = self._leaf(TRUE, index)
-            r = self._step(x, self._step(y, tt, tt, False, index), y, memorise, index)
-        elif cls is syntax.Atom:
-            r = self._leaf(node(t.name, TRUE, FALSE), index)
-        elif cls is syntax.ConstT:
-            r = self._leaf(TRUE, index)
-        elif cls is syntax.ConstF:
-            r = self._leaf(FALSE, index)
-        elif cls is syntax.ConstU:
-            r = self._leaf(UNDEF, index)
-        else:
-            raise TypeError(f"not an open term: {t!r}")
-        index[t] = r
-        return r
+
+        def step(a, b, c, memorise: bool = memorise) -> tuple[int, int]:
+            key = (a[0], b[0], c[0], memorise)
+            r = index.get(key)
+            if r is None:
+                level = max(a[1], b[1], c[1])
+                r = index[key] = (len(self.init), level)
+                self.init.append(None)
+                self.levels[level + 1].append((r[0], a[0], b[0], c[0], memorise))
+            return r
+
+        # A side's (slot, level), with the steps it needs added.
+        clauses = {
+            syntax.Not: lambda t, x: step(x, leaf(FALSE), leaf(TRUE)),
+            syntax.FullAnd: lambda t, x, y: step(x, y, step(y, leaf(FALSE), leaf(FALSE), False)),
+            syntax.FullOr: lambda t, x, y: step(x, step(y, leaf(TRUE), leaf(TRUE), False), y),
+            syntax.Atom: lambda t: leaf(node(t.name, TRUE, FALSE)),
+            syntax.ConstT: lambda t: leaf(TRUE),
+            syntax.ConstF: lambda t: leaf(FALSE),
+            syntax.ConstU: lambda t: leaf(UNDEF),
+        }
+        self.lhs = fold(eq.lhs, clauses, "an open term", index)[0]
+        self.rhs = fold(eq.rhs, clauses, "an open term", index)[0]
 
     def run(self, v: list, level: int) -> None:
         """Run the steps of a level, its variables set in v."""

@@ -81,19 +81,20 @@ def node(atom: str, left: EvalTree, right: EvalTree) -> Node:
     return t
 
 
-# subst's computed table, keyed by (subtree, kt, kf) for every internal node
-# a substitution visits, so a subtree shared between calls is walked once.
-_SUBST_CACHE: dict[tuple, EvalTree] = tables.computed()
+# subst's computed table: for each (kt, kf), the fold table of that
+# substitution, seeded with {TRUE: kt, FALSE: kf}, so a subtree shared
+# between calls is substituted once.
+_SUBST_CACHE: dict[tuple, dict] = tables.computed()
 
 
 def subst(x: EvalTree, kt: EvalTree, kf: EvalTree) -> EvalTree:
     """x with its T leaves replaced by kt and its F leaves by kf; other kinds stay."""
-    if type(x) is Leaf:
-        return kt if x is TRUE else kf if x is FALSE else x
-    key = (x, kt, kf)
-    r = _SUBST_CACHE.get(key)
+    done = _SUBST_CACHE.get((kt, kf))
+    if done is None:
+        done = _SUBST_CACHE[kt, kf] = {TRUE: kt, FALSE: kf}
+    r = done.get(x)
     if r is None:
-        r = _SUBST_CACHE[key] = node(x.atom, subst(x.left, kt, kf), subst(x.right, kt, kf))
+        r = fold(x, REBUILD, "an evaluation tree", done)
     return r
 
 

@@ -26,6 +26,7 @@ from .evaltree import (
     FALSE,
     Leaf,
     Node,
+    REBUILD,
     TRUE,
     UNDEF,
     leaf_kinds,
@@ -117,33 +118,42 @@ def _fe(p: syntax.Expr, kt: EvalTree, kf: EvalTree, done: dict) -> EvalTree:
     raise TypeError(f"not a closed expression: {p!r}")
 
 
-_PRUNE_CACHE: dict[tuple, EvalTree] = tables.computed()
+# _prune's computed table: for each (atom, side), the fold clauses of that
+# restriction and its table.
+_PRUNE_CACHE: dict[tuple, tuple[dict, dict]] = tables.computed()
 _MEMO_CACHE: dict[EvalTree, EvalTree] = tables.computed()
 
 
-def _prune(atom: str, x: EvalTree, side: str) -> EvalTree:
-    """x with every node labelled atom replaced by its child on side."""
-    if isinstance(x, Leaf):
-        return x
-    key = (atom, x, side)
-    r = _PRUNE_CACHE.get(key)
+def _prune(atom: str, x: EvalTree, side: int) -> EvalTree:
+    """x with every node labelled atom replaced by its child on side, 0 or 1."""
+    walk = _PRUNE_CACHE.get((atom, side))
+    if walk is None:
+
+        def restrict(t, l, r):
+            return (l, r)[side] if t.atom == atom else node(t.atom, l, r)
+
+        walk = _PRUNE_CACHE[atom, side] = ({**REBUILD, Node: restrict}, {})
+    clauses, done = walk
+    r = done.get(x)
     if r is None:
-        if x.atom == atom:
-            r = _prune(atom, getattr(x, side), side)
-        else:
-            r = node(x.atom, _prune(atom, x.left, side), _prune(atom, x.right, side))
-        _PRUNE_CACHE[key] = r
+        r = fold(x, clauses, "an evaluation tree", done)
     return r
 
 
 def la(atom: str, x: EvalTree) -> EvalTree:
     """Prune every node labelled atom to its left child."""
-    return _prune(atom, x, "left")
+    return _prune(atom, x, 0)
 
 
 def ra(atom: str, x: EvalTree) -> EvalTree:
     """Prune every node labelled atom to its right child."""
-    return _prune(atom, x, "right")
+    return _prune(atom, x, 1)
+
+
+# memo's clauses for tables.fold.  The paper memorises top-down, node(a,
+# memo(la(a, l)), memo(ra(a, r))); restriction commutes with memorisation,
+# so restricting the memorised children gives the same tree bottom-up.
+MEMORISE = {**REBUILD, Node: lambda x, l, r: node(x.atom, la(x.atom, l), ra(x.atom, r))}
 
 
 def memo(x: EvalTree) -> EvalTree:
@@ -152,10 +162,7 @@ def memo(x: EvalTree) -> EvalTree:
     if r is None:
         if leaf_kinds(x) & _PLACEHOLDERS:
             raise ValueError("tree contains placeholder leaves")
-        if isinstance(x, Leaf):
-            return x
-        r = node(x.atom, memo(la(x.atom, x.left)), memo(ra(x.atom, x.right)))
-        _MEMO_CACHE[x] = r
+        r = fold(x, MEMORISE, "an evaluation tree", _MEMO_CACHE)
     return r
 
 
@@ -168,10 +175,11 @@ def perfect_tree(order, p: syntax.Expr) -> EvalTree:
     memorisation every path of fe(p) reads the same atoms, so mfe, clfe
     and sfe are this tree over str_of(p), the sorted alphabet and beta.
 
-    It is built bottom-up over p: an atom is a literal tree, and & | ! are
-    applied level by level over the node() table.  The computed tables
-    live for one call; a tree's root determines its level, so the trees
-    alone are the keys.
+    It is built bottom-up over p: an atom is a literal tree, & and | are
+    applied level by level over the node() table, and ! is tree_not, since
+    a perfect tree's negation is its leaf swap.  The computed tables of &
+    and | live for one call; a tree's root determines its level, so the
+    trees alone are the keys.
     """
     atoms = tuple(order)
     if len(set(atoms)) != len(atoms):
@@ -184,26 +192,12 @@ def perfect_tree(order, p: syntax.Expr) -> EvalTree:
         bot[i] = node(atoms[i], bot[i + 1], bot[i + 1])
     level = {a: i for i, a in enumerate(atoms)}
     # The call's state, passed down the walk: no closure holds its tables.
-    return _walk(p, (atoms, top, bot, level, p, {}, {}, {}, {}))
-
-
-# At level n every tree is a leaf, T or F, so a shortcut always applies.
-def _neg(x: EvalTree, i: int, atoms, top, bot, nots) -> EvalTree:
-    if x is top[i]:
-        return bot[i]
-    if x is bot[i]:
-        return top[i]
-    r = nots.get(x)
-    if r is None:
-        j = i + 1
-        r = nots[x] = node(
-            atoms[i], _neg(x.left, j, atoms, top, bot, nots), _neg(x.right, j, atoms, top, bot, nots)
-        )
-    return r
+    return _walk(p, (atoms, top, bot, level, p, {}, {}, {}))
 
 
 # _apply(x, y, i, atoms, zero, one, table) is & with zero=bot, one=top and
-# | with zero=top, one=bot: zero absorbs, one is the unit.
+# | with zero=top, one=bot: zero absorbs, one is the unit.  At level n every
+# tree is a leaf, T or F, so a shortcut always applies.
 def _apply(x: EvalTree, y: EvalTree, i: int, atoms, zero, one, table) -> EvalTree:
     if x is y or x is zero[i] or y is one[i]:
         return x
@@ -223,7 +217,7 @@ def _apply(x: EvalTree, y: EvalTree, i: int, atoms, zero, one, table) -> EvalTre
 def _walk(e: syntax.Expr, call: tuple) -> EvalTree:
     """The perfect tree of e, a subterm of the call's term p; it recurses
     once per operator on a path of e."""
-    atoms, top, bot, level, p, nots, ands, ors, done = call
+    atoms, top, bot, level, p, ands, ors, done = call
     t = done.get(e)
     if t is None:
         cls = type(e)
@@ -232,7 +226,7 @@ def _walk(e: syntax.Expr, call: tuple) -> EvalTree:
         elif cls is syntax.FullOr:
             t = _apply(_walk(e.left, call), _walk(e.right, call), 0, atoms, top, bot, ors)
         elif cls is syntax.Not:
-            t = _neg(_walk(e.operand, call), 0, atoms, top, bot, nots)
+            t = tree_not(_walk(e.operand, call))
         elif cls is syntax.Atom:
             k = level.get(e.name)
             if k is None:

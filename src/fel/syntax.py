@@ -132,11 +132,11 @@ class ParseError(ValueError):
 
 # The '(' and '!' open at once that parse accepts.  Each '!' adds a level
 # to the term, and this count bounds those levels.  A '(' adds none, since
-# '((a))' is a, and a '&' or '|' chain of any length still parses.  Most
-# walks downstream are loops (tables.fold); evaluate (and fnf's
-# normalize_ffelu, through it) and normalize_ffel recurse and turn
-# RecursionError into this ValueError themselves, and the hot tree walks
-# such as subst recurse along the trees.  '(' is counted only so that
+# '((a))' is a, and a '&' or '|' chain of any length still parses.  The
+# walks downstream are loops (tables.fold), subst and memo included, save
+# evaluate's (fe_u, perfect_tree) and normalize_ffel's fnf algebra, which
+# recurse and turn RecursionError into this ValueError themselves (fnf's
+# normalize_ffelu through evaluate).  '(' is counted only so that
 # parentheses nested past the bound stay refused: perfbench/worker.py's
 # check_answer still fails on an answered 'deep' request.
 MAX_NESTING = 500

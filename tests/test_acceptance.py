@@ -10,6 +10,7 @@ property for every expression within the bound.
 """
 
 import importlib
+import itertools
 import pkgutil
 import random
 import time
@@ -19,6 +20,7 @@ from fel import axioms, fnf, invert, models, normalforms, semantics, syntax, tab
 from fel.evaltree import FALSE, TRUE, UNDEF, Leaf, node
 from fel.fnf import FnfCategory
 from fel.semantics import tree_and, tree_not, tree_or
+from fel.tables import fold
 from fel.scl import sc_and, sc_or
 
 from test_invert import gen_fnf
@@ -252,6 +254,46 @@ def test_criterion_06_axiom_validity():
         lhs, rhs = axioms.instantiate(eq, v.assignment)
         assert not semantics.equiv(logic, lhs, rhs)
     print("criterion 6: PASS (18 sets valid on sample; 3 separations found)")
+
+
+def _strict_tables(terms, atoms):
+    """Each term's Bochvar (strict three-valued) truth table over atoms.
+
+    A table lists the term's value under every assignment of T, F and U to
+    the atoms; any U operand makes U, else the connective is classical.
+    """
+    rows = list(itertools.product("TFU", repeat=len(atoms)))
+    column = {a: tuple(row[i] for row in rows) for i, a in enumerate(atoms)}
+
+    def both(x, y, absorb):
+        return "U" if "U" in (x, y) else absorb if absorb in (x, y) else x
+
+    def pointwise(op):
+        return lambda t, *values: tuple(map(op, *values))
+
+    clauses = {
+        syntax.Atom: lambda t: column[t.name],
+        syntax.ConstT: lambda t: ("T",) * len(rows),
+        syntax.ConstF: lambda t: ("F",) * len(rows),
+        syntax.ConstU: lambda t: ("U",) * len(rows),
+        syntax.Not: pointwise(lambda x: {"T": "F", "F": "T", "U": "U"}[x]),
+        syntax.FullAnd: pointwise(lambda x, y: both(x, y, "F")),
+        syntax.FullOr: pointwise(lambda x, y: both(x, y, "T")),
+    }
+    done = {}
+    return [fold(p, clauses, "a closed expression", done) for p in terms]
+
+
+def test_clfel_is_bochvar_strict_logic_on_small_universes():
+    # clfel equivalence is equality of strict three-valued truth tables: on
+    # each universe, grouping the terms by clfel tree or by table gives the
+    # same partition.
+    for atoms, height, classes in ((("a", "b"), 3, 25), (("a", "b", "c"), 2, 21)):
+        terms = axioms._universe(atoms, height, True)
+        pairs = set(zip(map(semantics.clfe_u, terms), _strict_tables(terms, atoms)))
+        assert len({tree for tree, _ in pairs}) == classes
+        assert len({table for _, table in pairs}) == classes
+        assert len(pairs) == classes
 
 
 def _all_u_labels(tree):

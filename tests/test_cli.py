@@ -1,5 +1,7 @@
+import gc
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from fel import evaltree, normalforms, semantics, syntax
@@ -10,6 +12,18 @@ runner = CliRunner()
 
 def run(*args):
     return runner.invoke(main, args)
+
+
+@pytest.fixture(autouse=True)
+def _collect_cycles():
+    # CliRunner.invoke keeps sys.exc_info() of the SystemExit that ends each
+    # command in a local, a reference cycle through its frame that, by
+    # f_back, keeps the calling test's frame and locals alive until a full
+    # collection.  Collect after each test, so no expression or tree a test
+    # held outlives it and what fel.reset() frees in later tests does not
+    # depend on when the collector runs.
+    yield
+    gc.collect()
 
 
 def test_parse():

@@ -1,9 +1,11 @@
 """tables.fold and the walks built on it.
 
-Every syntactic map over terms and trees that is not hot is a fold: one
-explicit-stack loop over the distinct subterms.  So it answers at any
-depth, where a recursive walk raised RecursionError, and it names what
-it expected when given a foreign class.
+Every syntactic map over terms and trees is a fold, the hot substitution
+and memorisation too (subst, memo, la, ra), save fe_u's evaluation, the
+perfect tree's apply and the fnf algebra: one explicit-stack loop over
+the distinct subterms.  So it answers at any depth, where a recursive
+walk raised RecursionError, and it names what it expected when given a
+foreign class.
 """
 
 import ast
@@ -58,12 +60,12 @@ ON_TERMS = {
     "variables_of": lambda e: axioms.variables_of(e) == set(),
     "axioms._to_open": lambda e: axioms._to_open(e) is e,
     "instantiate": lambda e: axioms.instantiate(axioms.Equation("E", e, e), {}) == (e, e),
-}
-# These folds' clauses call subst or the fnf algebra, which stay recursive
-# (they are hot) and recurse down the trees and normal forms built: for the
-# balanced term those are 2,048 levels deep, so the chain alone is asked.
-ON_THE_CHAIN = {
     "se, fe_open": lambda e: scl.se(scl.translate_t(e)) is semantics.fe_open(e, {}),
+}
+# normalize_ffel's fold calls the fnf algebra, which stays recursive and
+# recurses down the normal forms it builds: for the balanced term those are
+# 2,048 levels deep, so the chain alone is asked.
+ON_THE_CHAIN = {
     "normalize_ffel": lambda e: fnf.classify(fnf.normalize_ffel(e)) is FnfCategory.T_STAR_TERM,
 }
 ON_TREES = {
@@ -75,6 +77,12 @@ ON_TREES = {
     "invert's contexts": lambda x: fold(x, evaltree.REBUILD, "a tree", {TRUE: HOLE1}) is _spine(1200, HOLE1),
     "read-back": lambda x: normalforms._sigma_nf(x, None).sigma == ("a",) * 1200,
     "render dot": lambda x: evaltree.render(x, "dot").count("->") == 2400,
+    "memo": lambda x: semantics.memo(x) is node("a", TRUE, FALSE),
+    "from_full(MFEL)": lambda x: semantics.from_full(semantics.MFEL, x) is node("a", TRUE, FALSE),
+    "sfe_tree": lambda x: semantics.sfe_tree(("a",), x) is node("a", TRUE, FALSE),
+    "tree_not": lambda x: semantics.tree_not(semantics.tree_not(x)) is x,
+    "la": lambda x: semantics.la("a", x) is TRUE,
+    "ra": lambda x: semantics.ra("a", x) is FALSE,
 }
 
 CASES = (
@@ -100,6 +108,8 @@ FOREIGN = {
     "variables_of": axioms.variables_of,
     "leaf_kinds": evaltree.leaf_kinds,
     "iter_subtrees": evaltree.iter_subtrees,
+    "subst": lambda e: evaltree.subst(e, TRUE, FALSE),
+    "la": lambda e: semantics.la("a", e),
 }
 
 

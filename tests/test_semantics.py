@@ -1,10 +1,11 @@
+import random
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fel import axioms, evaltree, syntax
-from fel.evaltree import FALSE, TRUE, UNDEF, Leaf, depth, leaf_kinds, node
+from fel.evaltree import FALSE, HOLE, HOLE1, TRUE, UNDEF, Leaf, depth, leaf_kinds, node, subst
 from fel.semantics import (
     CLFEL,
     CLFEL2,
@@ -109,6 +110,60 @@ def test_la_ra():
     assert la("a", x) == TRUE
     assert ra("a", x) == node("b", FALSE, FALSE)
     assert la("c", x) == x
+
+
+def _prune_top_down(atom, x, side, done):
+    """The recursive restriction that la and ra replaced, kept as their oracle."""
+    if isinstance(x, Leaf):
+        return x
+    r = done.get(x)
+    if r is None:
+        if x.atom == atom:
+            r = _prune_top_down(atom, getattr(x, side), side, done)
+        else:
+            r = node(x.atom, _prune_top_down(atom, x.left, side, done), _prune_top_down(atom, x.right, side, done))
+        done[x] = r
+    return r
+
+
+def _memo_top_down(x):
+    """The paper's memorisation, top-down: node(a, memo(la(a, l)), memo(ra(a, r)))."""
+    if isinstance(x, Leaf):
+        return x
+    a = x.atom
+    return node(a, _memo_top_down(_prune_top_down(a, x.left, "left", {})),
+                _memo_top_down(_prune_top_down(a, x.right, "right", {})))
+
+
+def _subst_recursive(x, kt, kf):
+    """The recursive leaf substitution that subst replaced, kept as its oracle."""
+    if isinstance(x, Leaf):
+        return kt if x is TRUE else kf if x is FALSE else x
+    return node(x.atom, _subst_recursive(x.left, kt, kf), _subst_recursive(x.right, kt, kf))
+
+
+def _random_tree(rng, height, leaves):
+    if height == 0 or rng.random() < 0.2:
+        return rng.choice(leaves)
+    return node(rng.choice("abcd"), _random_tree(rng, height - 1, leaves), _random_tree(rng, height - 1, leaves))
+
+
+def test_memo_la_ra_are_the_top_down_definitions_on_random_trees():
+    rng = random.Random(1818)
+    for _ in range(1_000):
+        x = _random_tree(rng, 9, (TRUE, FALSE, UNDEF))
+        assert memo(x) is _memo_top_down(x)
+        for a in "abcd":
+            assert la(a, x) is _prune_top_down(a, x, "left", {})
+            assert ra(a, x) is _prune_top_down(a, x, "right", {})
+
+
+def test_subst_is_the_recursive_substitution_on_random_trees():
+    rng = random.Random(1819)
+    leaves = (TRUE, FALSE, UNDEF, HOLE, HOLE1)
+    for _ in range(1_000):
+        x, kt, kf = (_random_tree(rng, h, leaves) for h in (9, 3, 3))
+        assert subst(x, kt, kf) is _subst_recursive(x, kt, kf)
 
 
 def test_memo_examples():
