@@ -76,11 +76,8 @@ def equiv(logic_name, alphabet, expr1, expr2):
     if result:
         click.echo("equivalent")
         return
-    click.echo("NOT equivalent")
-    click.echo("left tree:")
-    click.echo(evaltree.render(result.left_tree, "ascii"))
-    click.echo("right tree:")
-    click.echo(evaltree.render(result.right_tree, "ascii"))
+    left, right = (evaltree.render(t, "ascii") for t in (result.left_tree, result.right_tree))
+    click.echo(f"NOT equivalent\nleft tree:\n{left}\nright tree:\n{right}")
     sys.exit(1)
 
 

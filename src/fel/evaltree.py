@@ -178,12 +178,25 @@ def _from_json(d) -> EvalTree:
     raise ValueError("tree JSON object needs a 'leaf' or 'atom' key")
 
 
+# render refuses a tree that expands past this many nodes.  Every format
+# prints each path of the DAG apart, so a tree of a few nodes may render
+# exponentially large: the ffel tree of a chain of 30 a's has 2^31 - 1.
+MAX_RENDER_NODES = 2**20
+# render's clauses for tables.fold: the nodes of x with no subtree shared.
+EXPANDED = {Leaf: lambda x: 1, Node: lambda x, l, r: 1 + l + r}
+
+
 def render(x: EvalTree, format: str = "ascii", middle_u: bool = False) -> str:
     """Render a tree as indented ascii, graphviz dot, or json.
 
     With middle_u the ascii form also shows the implicit undefined branch
-    of every node, which is always the leaf U.
+    of every node, which is always the leaf U.  A tree of more than
+    MAX_RENDER_NODES nodes, counted with no subtree shared, raises
+    ValueError before any format runs.
     """
+    size = fold(x, EXPANDED, "an evaluation tree")
+    if size > MAX_RENDER_NODES:
+        raise ValueError(f"tree too large to render: {size} nodes, at most {MAX_RENDER_NODES}")
     if format == "json":
         try:
             return json.dumps(tree_to_json(x))

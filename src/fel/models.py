@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from . import syntax
 from .axioms import Equation, variables_of
 from .syntax import Expr, Var
+from .tables import fold
 
 MAX_SIZE = 6
 
@@ -131,56 +132,48 @@ def _cells(m: FiniteModel) -> list[int]:
     ]
 
 
-def _compile(t: Expr, env: dict[str, int], n: int, steps: list, done: dict) -> int:
-    """Append the cell reads of t to steps.
+def _side(t: Expr, env: dict[str, int], n: int) -> tuple:
+    """The cell reads of t under env, in order; a bare variable reads its element cell.
 
     A step (base, a, s, b) reads the cell base + r[a] * s + r[b], where
-    r[0] is 0 and r[k] is the value that step k - 1 read.  The result is
-    t's element if the environment alone gives it, else ~k for r[k].
+    r[0] is 0 and r[k] is the value that step k - 1 read.  t is compiled by
+    one fold whose value for a subterm is its element if env alone gives
+    it, else ~k for r[k].
     """
-    cls = type(t)
-    if cls is Var:
-        return env[t.name]
-    k = done.get(t)
-    if k is not None:
-        return k
-    if cls is syntax.ConstT:
-        step = (_T, 0, 0, 0)
-    elif cls is syntax.ConstF:
-        step = (_F, 0, 0, 0)
-    elif cls is syntax.ConstU:
-        step = (_U, 0, 0, 0)
-    elif cls is syntax.Not:
-        x = _compile(t.operand, env, n, steps, done)
-        step = (_NEG + x, 0, 0, 0) if x >= 0 else (_NEG, ~x, 1, 0)
-    elif cls is syntax.FullAnd or cls is syntax.FullOr:
-        x = _compile(t.left, env, n, steps, done)
-        y = _compile(t.right, env, n, steps, done)
-        base = _and(n) if cls is syntax.FullAnd else _or(n)
+    steps: list = []
+
+    def read(base: int, s: int = 0, x: int = 0, y: int = 0) -> int:
+        # The step reading cell base + x * s + y of the values x and y.
         a = b = 0
         if x >= 0:
-            base += x * n
+            base += x * s
         else:
             a = ~x
         if y >= 0:
             base += y
         else:
             b = ~y
-        step = (base, a, n, b)
-    else:
-        raise TypeError(f"not an open term over variables: {t!r}")
-    steps.append(step)
-    done[t] = k = ~len(steps)
-    return k
+        steps.append((base, a, s, b))
+        return ~len(steps)
 
-
-def _side(t: Expr, env: dict[str, int], n: int) -> tuple:
-    """The steps of t under env; a bare variable reads its element cell."""
-    steps: list = []
-    x = _compile(t, env, n, steps, {})
+    clauses = {
+        syntax.ConstT: lambda t: read(_T),
+        syntax.ConstF: lambda t: read(_F),
+        syntax.ConstU: lambda t: read(_U),
+        syntax.Not: lambda t, x: read(_NEG, 0, 0, x),
+        syntax.FullAnd: lambda t, x, y: read(_and(n), n, x, y),
+        syntax.FullOr: lambda t, x, y: read(_or(n), n, x, y),
+        Var: _unassigned,
+    }
+    done = {Var(name): element for name, element in env.items()}
+    x = fold(t, clauses, "an open term over variables", done)
     if x >= 0:
-        steps.append((_elem(n) + x, 0, 0, 0))
+        read(_elem(n), 0, 0, x)
     return tuple(steps)
+
+
+def _unassigned(t: Var):
+    raise ValueError(f"variable {t.name} has no value")
 
 
 def _root(steps: tuple, val: list[int]) -> int:

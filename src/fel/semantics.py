@@ -29,15 +29,11 @@ from .evaltree import (
     REBUILD,
     TRUE,
     UNDEF,
-    leaf_kinds,
     node,
     spine,
     subst,
 )
 from .tables import fold
-
-_PLACEHOLDERS = frozenset(("D", "D1", "D2"))
-
 
 def tree_not(x: EvalTree) -> EvalTree:
     return subst(x, FALSE, TRUE)
@@ -150,18 +146,23 @@ def ra(atom: str, x: EvalTree) -> EvalTree:
     return _prune(atom, x, 1)
 
 
+def _memo_leaf(x: Leaf) -> Leaf:
+    if x.kind in ("D", "D1", "D2"):
+        raise ValueError("tree contains placeholder leaves")
+    return x
+
+
 # memo's clauses for tables.fold.  The paper memorises top-down, node(a,
 # memo(la(a, l)), memo(ra(a, r))); restriction commutes with memorisation,
-# so restricting the memorised children gives the same tree bottom-up.
-MEMORISE = {**REBUILD, Node: lambda x, l, r: node(x.atom, la(x.atom, l), ra(x.atom, r))}
+# so restricting the memorised children gives the same tree bottom-up.  A
+# placeholder leaf D, D1 or D2 is refused, so none is ever memorised.
+MEMORISE = {Leaf: _memo_leaf, Node: lambda x, l, r: node(x.atom, la(x.atom, l), ra(x.atom, r))}
 
 
 def memo(x: EvalTree) -> EvalTree:
     """Memorisation: drop re-evaluations of an atom along each path."""
     r = _MEMO_CACHE.get(x)
     if r is None:
-        if leaf_kinds(x) & _PLACEHOLDERS:
-            raise ValueError("tree contains placeholder leaves")
         r = fold(x, MEMORISE, "an evaluation tree", _MEMO_CACHE)
     return r
 

@@ -287,31 +287,22 @@ def print_term(e: Interned, spelling: dict, what: str, fully_parenthesized: bool
     return "".join(out)
 
 
+# _leaves' clauses for tables.fold; their values are not used.
+LEAVES = dict.fromkeys(
+    (Atom, Var, ConstT, ConstF, ConstU, Not, FullAnd, FullOr), lambda e, *values: None
+)
+
+
 def _leaves(e: Expr) -> list[Expr]:
     """The distinct atoms, constants and variables of e, left to right.
 
-    Each distinct binary subterm is visited once, so the walk is linear in
-    the size of the expression DAG (an h-nest over n atoms prints to about
-    2^n atoms) and needs no recursion.  A subterm seen before holds only
-    leaves seen before, so skipping it keeps first-occurrence order.
+    The fold values a leaf when it first meets it, left to right, and
+    enters no subterm valued before, so its done dict holds the leaves in
+    first-occurrence order, each once.
     """
-    seen: set[Expr] = set()
-    out = []
-    stack = [e]
-    while stack:
-        t = stack.pop()
-        cls = type(t)
-        if cls is FullAnd or cls is FullOr:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t.right)
-                stack.append(t.left)
-        elif cls is Not:
-            stack.append(t.operand)
-        elif t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    done: dict[Expr, None] = {}
+    fold(e, LEAVES, "an expression", done)
+    return [t for t in done if not t._arity]
 
 
 def _names(leaves: list[Expr]) -> tuple[str, ...]:

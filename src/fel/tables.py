@@ -5,7 +5,10 @@ one object with those fields; each Interned class makes its own.  A
 computed table maps an operation's arguments to its result; computed()
 makes one.  reset() never drops a unique entry whose object is live, or an
 equal object built later would compare unequal to it.  fold() is the one
-structural recursion over the hash-consed terms and trees, run as a loop.
+structural recursion over the hash-consed terms and trees, run as a loop:
+apart from the evaluators (semantics' fe_u and perfect tree, the fnf
+algebra), every walk over their DAGs is a fold, the atom walks, memo and
+the finite models' compiler included.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import gc
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -45,6 +46,17 @@ def test_too_deep_input_exits_2():
         r = run(*args)
         assert r.exit_code == 2
         assert "error: input nested too deeply" in r.output
+
+
+def test_a_tree_too_large_to_render_exits_2_at_once():
+    # The ffel tree of a chain of 30 a's is a DAG of 60 nodes that renders
+    # 2^31 - 1: it is refused by its size before any line is printed.
+    start = time.perf_counter()
+    for args in (("equiv", " & ".join(["a"] * 30), "a"), ("tree", " & ".join(["a"] * 30))):
+        r = run(*args)
+        assert r.exit_code == 2
+        assert r.output.startswith("error: tree too large to render")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_prints_a_long_chain():

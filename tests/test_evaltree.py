@@ -244,6 +244,21 @@ def test_render_of_a_deep_spine():
         render(x, "json")
 
 
+def test_render_refuses_a_tree_that_expands_past_its_bound(monkeypatch):
+    # Each format prints every path apart, so the bound counts the nodes
+    # with no subtree shared: 2^21 - 1 for 20 levels of one shared subtree.
+    x = TRUE
+    for _ in range(20):
+        x = node("a", x, x)
+    for fmt in ("ascii", "dot", "json"):
+        with pytest.raises(ValueError, match="too large to render: 2097151 nodes"):
+            render(x, fmt)
+    monkeypatch.setattr(evaltree, "MAX_RENDER_NODES", 3)
+    assert render(node("a", TRUE, FALSE)) == "a\n  T\n  F"
+    with pytest.raises(ValueError, match="too large"):
+        render(node("a", node("b", TRUE, FALSE), FALSE))
+
+
 def test_render_json():
     x = node("a", TRUE, FALSE)
     assert json.loads(render(x, "json")) == tree_to_json(x)

@@ -1,11 +1,13 @@
 """tables.fold and the walks built on it.
 
 Every syntactic map over terms and trees is a fold, the hot substitution
-and memorisation too (subst, memo, la, ra), save fe_u's evaluation, the
-perfect tree's apply and the fnf algebra: one explicit-stack loop over
-the distinct subterms.  So it answers at any depth, where a recursive
-walk raised RecursionError, and it names what it expected when given a
-foreign class.
+and memorisation too (subst, memo, la, ra), the leaf walk under atoms_of
+and contains_u, and the compiler of the finite models' cell reads; save
+fe_u's evaluation, the perfect tree's apply and the fnf algebra: one
+explicit-stack loop over the distinct subterms.  So it answers at any
+depth, where a recursive walk raised RecursionError, and it names what
+it expected when given a foreign class.  The functions of fel that still
+call themselves are pinned below, as are the RecursionError handlers.
 """
 
 import ast
@@ -14,7 +16,7 @@ import pathlib
 import pytest
 
 import fel
-from fel import axioms, evaltree, fnf, normalforms, scl, semantics, syntax
+from fel import axioms, evaltree, fnf, models, normalforms, scl, semantics, syntax
 from fel.evaltree import FALSE, HOLE1, TRUE, node
 from fel.fnf import FnfCategory
 from fel.tables import fold
@@ -61,6 +63,17 @@ ON_TERMS = {
     "axioms._to_open": lambda e: axioms._to_open(e) is e,
     "instantiate": lambda e: axioms.instantiate(axioms.Equation("E", e, e), {}) == (e, e),
     "se, fe_open": lambda e: scl.se(scl.translate_t(e)) is semantics.fe_open(e, {}),
+    "atoms_of": lambda e: syntax.atoms_of(e) == ("a",),
+    "atoms_until_u": lambda e: syntax.atoms_until_u(e) == (("a",), False),
+    "contains_u": lambda e: not syntax.contains_u(e),
+    "str_of": lambda e: syntax.str_of(e) == "a",
+}
+# The finite models compile an open term by a fold; asked on the chain with
+# x for a.
+ON_OPEN_TERMS = {
+    "eval_open_term": lambda t: models.eval_open_term(models.BOOLEAN_MODEL, t, {"x": 0}) == 0,
+    "check_equation_in_model": lambda t: models.check_equation_in_model(
+        models.BOOLEAN_MODEL, axioms.Equation("E", t, syntax.Var("x"))),
 }
 # normalize_ffel's fold calls the fnf algebra, which stays recursive and
 # recurses down the normal forms it builds: for the balanced term those are
@@ -88,14 +101,20 @@ ON_TREES = {
 CASES = (
     [(name, t) for name in ON_TERMS for t in TERMS]
     + [(name, "chain") for name in ON_THE_CHAIN]
+    + [(name, "open chain") for name in ON_OPEN_TERMS]
     + [(name, "spine") for name in ON_TREES]
 )
+DATA = {
+    **TERMS,
+    "open chain": lambda: axioms._to_open(syntax.parse(" & ".join(["x"] * 1200))),
+    "spine": lambda: _spine(1200),
+}
 
 
 @pytest.mark.parametrize("entry, data", CASES)
 def test_folded_walks_answer_at_any_depth(entry, data):
-    check = {**ON_TERMS, **ON_THE_CHAIN, **ON_TREES}[entry]
-    assert check(_spine(1200) if data == "spine" else TERMS[data]())
+    check = {**ON_TERMS, **ON_THE_CHAIN, **ON_OPEN_TERMS, **ON_TREES}[entry]
+    assert check(DATA[data]())
 
 
 FOREIGN = {
@@ -110,6 +129,8 @@ FOREIGN = {
     "iter_subtrees": evaltree.iter_subtrees,
     "subst": lambda e: evaltree.subst(e, TRUE, FALSE),
     "la": lambda e: semantics.la("a", e),
+    "contains_u": syntax.contains_u,
+    "atoms_of": syntax.atoms_of,
 }
 
 
@@ -171,4 +192,46 @@ def test_recursion_error_is_caught_only_where_a_walk_still_recurses():
         ("evaltree", "tree_from_json"),
         ("fnf", "normalize_ffel"),
         ("semantics", "evaluate"),
+    ]
+
+
+def _self_calling_functions():
+    """(module, function) of each function in fel's sources that calls itself
+    by name, or a method that calls itself through self."""
+    sites = []
+    for path in sorted(pathlib.Path(fel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(fn):
+                    f = getattr(call, "func", None)
+                    if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                        isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and isinstance(f.value, ast.Name) and f.value.id == "self"
+                    ):
+                        sites.append((path.stem, fn.name))
+                        break
+    return sorted(sites)
+
+
+def test_the_recursive_functions_are_the_ones_readme_names():
+    # README's "stay recursive" list: each walk below recurses on purpose,
+    # or over a size bounded apart from the input's depth.
+    assert _self_calling_functions() == [
+        ("axioms", "_product"),
+        ("axioms", "_random_term"),
+        ("evaltree", "_from_json"),
+        ("fnf", "_merge_t_star"),
+        ("fnf", "_negate_star"),
+        ("fnf", "_push_t"),
+        ("fnf", "_to_f"),
+        ("fnf", "fnf_and"),
+        ("fnf", "fnf_negate"),
+        ("invert", "g_star"),
+        ("models", "search"),
+        ("normalforms", "_bodies"),
+        ("normalforms", "_permute"),
+        ("semantics", "_apply"),
+        ("semantics", "_fe"),
+        ("semantics", "_walk"),
     ]

@@ -206,6 +206,16 @@ def test_memo_open_is_memo_of_the_full_tree(e):
 def test_memo_rejects_placeholders():
     with pytest.raises(ValueError):
         memo(node("a", Leaf("D"), FALSE))
+    # memo's fold does not enter a subtree memorised before, and still
+    # meets a placeholder beside one; a refusal memorises nothing that
+    # lets the tree through on a later call.
+    memorised = node("b", TRUE, FALSE)
+    memo(memorised)
+    for hole in ("D", "D1", "D2"):
+        x = node("a", memorised, node("c", memorised, Leaf(hole)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="placeholder"):
+                memo(x)
 
 
 def test_f_tilde_tree():
