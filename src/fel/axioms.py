@@ -267,6 +267,8 @@ class Exhaustive:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError(f"depth must be at least 1, got {self.depth}")
+        if self.max_instances < 1:
+            raise ValueError(f"max_instances must be at least 1, got {self.max_instances}")
 
 
 @dataclass(frozen=True)
@@ -344,23 +346,39 @@ class _Plan:
             r = subst(v[a], v[b], v[c])
             v[out] = memo(r) if memorise else r
 
-    def sides(self, v: list) -> tuple[EvalTree, EvalTree]:
-        """The logic's trees of both sides, every level run."""
-        return both_sides(self.logic, v[self.lhs], v[self.rhs], from_full, tree_atoms)
-
-    def instance(self, trees: list[EvalTree]) -> tuple[EvalTree, EvalTree]:
-        """The logic's trees of both sides, the variables' trees given in order."""
+    def load(self, trees: list[EvalTree]) -> list:
+        """The slots, the variables' trees given in order and every level run."""
         v = list(self.init)
         v[: len(trees)] = trees
         for level in range(-1, len(trees)):
             self.run(v, level)
-        return self.sides(v)
+        return v
+
+    def refute(self, v: list) -> tuple[EvalTree, EvalTree] | None:
+        """The logic's trees of both sides if they differ, else None.
+
+        Sides that are one tree are not mapped into the logic: from_full
+        is a function of the tree, and both_sides reads sfel's alphabet
+        off the two trees, so their logic trees are one tree too.
+        """
+        lt, rt = v[self.lhs], v[self.rhs]
+        if lt is rt:
+            return None
+        lt, rt = both_sides(self.logic, lt, rt, from_full, tree_atoms)
+        return None if lt is rt else (lt, rt)
 
 
 # --- closed-term universes and their per-logic quotients ---
 
 _UNIVERSE_CACHE: dict[tuple, list[Expr]] = tables.computed()
+_TREES_CACHE: dict[tuple, list] = tables.computed()
 _CLASS_CACHE: dict[tuple, list] = tables.computed()
+
+
+def _leaves(atoms: tuple[str, ...], allow_u: bool) -> list[Expr]:
+    """The terms of height 1: the atoms, T, F, and U if allowed."""
+    return [syntax.mk_atom(a) for a in atoms] + [syntax.TRUE, syntax.FALSE] + (
+        [syntax.UNDEF] if allow_u else [])
 
 
 def _universe(atoms: tuple[str, ...], depth: int, allow_u: bool) -> list[Expr]:
@@ -368,10 +386,7 @@ def _universe(atoms: tuple[str, ...], depth: int, allow_u: bool) -> list[Expr]:
     terms = _UNIVERSE_CACHE.get(key)
     if terms is not None:
         return terms
-    leaves: list[Expr] = [syntax.mk_atom(a) for a in atoms] + [syntax.TRUE, syntax.FALSE]
-    if allow_u:
-        leaves.append(syntax.UNDEF)
-    exact = [list(leaves)]  # exact[k] = terms of height k+1
+    exact = [_leaves(atoms, allow_u)]  # exact[k] = terms of height k+1
     for h in range(2, depth + 1):
         upto_prev = [t for lvl in exact for t in lvl]
         prev = exact[-1]
@@ -388,6 +403,22 @@ def _universe(atoms: tuple[str, ...], depth: int, allow_u: bool) -> list[Expr]:
     return terms
 
 
+def _trees(atoms: tuple[str, ...], depth: int, allow_u: bool) -> list[tuple[Expr, EvalTree]]:
+    """(term, fe_u(term)) for the first term of the universe with each full tree.
+
+    Every logic's tree is a function of the full tree, so the logics that
+    quotient one universe share this list, and it is built once.
+    """
+    key = (atoms, depth, allow_u)
+    pairs = _TREES_CACHE.get(key)
+    if pairs is None:
+        first: dict[EvalTree, Expr] = {}
+        for t in _universe(atoms, depth, allow_u):
+            first.setdefault(semantics.fe_u(t), t)
+        pairs = _TREES_CACHE[key] = [(t, tree) for tree, t in first.items()]
+    return pairs
+
+
 def _classes(logic: Logic, atoms: tuple[str, ...], depth: int, allow_u: bool):
     """One smallest representative per logic-equivalence class of the universe."""
     key = (logic, atoms, depth, allow_u)
@@ -395,32 +426,24 @@ def _classes(logic: Logic, atoms: tuple[str, ...], depth: int, allow_u: bool):
     if reps is not None:
         return reps
     seen = {}
-    for t in _universe(atoms, depth, allow_u):
-        tree = semantics.fe_u(t)
+    for t, tree in _trees(atoms, depth, allow_u):
         k = from_full(logic, tree)
         if k not in seen:
-            seen[k] = (t, tree if logic.tree is FREE else semantics.memo(tree))
+            seen[k] = (t, tree if logic.tree is FREE else memo(tree))
     reps = list(seen.values())
     _CLASS_CACHE[key] = reps
     return reps
 
 
-def _random_term(rng, atoms, allow_u: bool, height: int) -> Expr:
+def _random_term(rng, pool: list[Expr], height: int) -> Expr:
+    """A random term of height at most height over the leaves in pool."""
     if height <= 1 or rng.random() < 0.3:
-        pool = list(atoms) + ["T", "F"] + (["U"] if allow_u else [])
-        c = rng.choice(pool)
-        if c == "T":
-            return syntax.TRUE
-        if c == "F":
-            return syntax.FALSE
-        if c == "U":
-            return syntax.UNDEF
-        return syntax.mk_atom(c)
+        return rng.choice(pool)
     k = rng.randrange(3)
     if k == 0:
-        return syntax.mk_not(_random_term(rng, atoms, allow_u, height - 1))
-    l = _random_term(rng, atoms, allow_u, height - 1)
-    r = _random_term(rng, atoms, allow_u, height - 1)
+        return syntax.mk_not(_random_term(rng, pool, height - 1))
+    l = _random_term(rng, pool, height - 1)
+    r = _random_term(rng, pool, height - 1)
     return syntax.mk_and(l, r) if k == 1 else syntax.mk_or(l, r)
 
 
@@ -460,8 +483,7 @@ def _product(plan: _Plan, v: list, trees: list, k: int, idx: list[int]):
     read from trees[idx[k]]: (instances run, the first counterexample's
     trees or None)."""
     if k == len(idx):
-        lt, rt = plan.sides(v)
-        return 1, (None if lt is rt else (lt, rt))
+        return 1, plan.refute(v)
     checked = 0
     for i, t in enumerate(trees):
         idx[k], v[k] = i, t
@@ -483,10 +505,12 @@ def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
     plan = _Plan(logic, eq, names)
     if isinstance(strategy, Exhaustive):
         atoms = tuple(strategy.atoms)
-        reps = _classes(logic, atoms, strategy.depth, allow_u)
+        reps = _classes(logic, atoms, strategy.depth, allow_u) if names else []
         note = ""
         if names and len(reps) ** len(names) > strategy.max_instances:
-            cap = max(1, int(strategy.max_instances ** (1.0 / len(names))))
+            cap = len(reps) - 1  # the most classes whose product fits
+            while cap ** len(names) > strategy.max_instances:
+                cap -= 1
             reps = reps[:cap]
             note = f"truncated to {cap} classes per variable"
         v = list(plan.init)
@@ -500,14 +524,14 @@ def check_validity(logic: Logic, eq: Equation, strategy) -> Verdict:
 
     if isinstance(strategy, Random):
         rng = _random_mod.Random(strategy.seed)
-        atoms = tuple(strategy.atoms)
+        pool = _leaves(tuple(strategy.atoms), allow_u)
+        free = logic.tree is FREE
         for i in range(strategy.count):
-            assignment = {
-                n: _random_term(rng, atoms, allow_u, strategy.height) for n in names
-            }
-            lt, rt = plan.instance([semantics.fe_u(assignment[n]) for n in names])
-            if lt != rt:
-                return Verdict("counterexample", eq, i + 1, assignment, lt, rt)
+            assignment = {n: _random_term(rng, pool, strategy.height) for n in names}
+            trees = [semantics.fe_u(assignment[n]) for n in names]
+            bad = plan.refute(plan.load(trees if free else [memo(t) for t in trees]))
+            if bad is not None:
+                return Verdict("counterexample", eq, i + 1, assignment, *bad)
         return Verdict("valid-on-sample", eq, strategy.count)
 
     raise TypeError(f"unknown strategy {strategy!r}")

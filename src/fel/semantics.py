@@ -83,9 +83,13 @@ def fe_u(p: syntax.Expr) -> EvalTree:
     clause passes its right operand's trees down as the left operand's
     leaves, and no tree is substituted after it is built.  A left-deep
     chain costs linear time, the recursion follows the term's depth, and
-    the memo lives for this call only.
+    the memo lives for this call only.  A p nested past the interpreter's
+    recursion limit raises ValueError, as parse does.
     """
-    return _fe(p, TRUE, FALSE, {})
+    try:
+        return _fe(p, TRUE, FALSE, {})
+    except RecursionError:
+        raise ValueError("input nested too deeply") from None
 
 
 def _fe(p: syntax.Expr, kt: EvalTree, kf: EvalTree, done: dict) -> EvalTree:

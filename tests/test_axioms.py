@@ -85,8 +85,14 @@ def test_separating_counterexamples():
     idem = axioms._eq("Idem", "x & x", "x")
     comm = axioms._eq("Comm", "x & y", "y & x")
     andf = axioms._eq("AndF", "x & F", "F")
-    assert check_validity(semantics.FFEL, idem, Random(100, 0)).status == "counterexample"
-    assert check_validity(semantics.MFEL, comm, Random(100, 0)).status == "counterexample"
+    # The sample stream of seed 0 is pinned, so `fel axioms --random seed=0`
+    # keeps its counterexamples.
+    v = check_validity(semantics.FFEL, idem, Random(100, 0))
+    assert (v.status, v.instances) == ("counterexample", 1)
+    assert v.assignment == {"x": P("F & (b & b & a)")}
+    v = check_validity(semantics.MFEL, comm, Random(100, 0))
+    assert (v.status, v.instances) == ("counterexample", 2)
+    assert v.assignment == {"x": P("a | F"), "y": P("b & T | !b | !b")}
     assert check_validity(semantics.CLFEL2, andf, Random(100, 0)).status == "counterexample"
     # and each is valid one level up the hierarchy
     assert check_validity(semantics.MFEL, idem, Random(100, 0)).status == "valid-on-sample"
@@ -123,6 +129,28 @@ def test_truncation_is_reported():
     assert "truncated" in v.note
 
 
+def test_truncation_keeps_the_most_classes_the_cap_allows():
+    # FFEL4 has 3 variables and 18 classes at depth 2: a cap that is a
+    # cube is met exactly, and one just under it takes a class less.
+    ffel4 = BUILTIN_SETS["eqffel"]["FFEL4"]
+    for cap, classes in ((64, 4), (63, 3), (5832, 18)):
+        v = check_validity(semantics.FFEL, ffel4, Exhaustive(depth=2, max_instances=cap))
+        assert v.instances == classes**3
+        assert v.note == ("" if classes == 18 else f"truncated to {classes} classes per variable")
+
+
+def test_an_equation_without_variables_builds_no_universe(monkeypatch):
+    monkeypatch.setattr(axioms, "_classes", lambda *args: pytest.fail("a universe was built"))
+    v = check_validity(semantics.FFELU, BUILTIN_SETS["eqffelu"]["U1"], Exhaustive(depth=3))
+    assert (v.status, v.instances, v.note) == ("valid-on-sample", 1, "")
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_exhaustive_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="max_instances must be at least 1"):
+        Exhaustive(max_instances=cap)
+
+
 def test_exhaustive_deterministic():
     strat = Random(50, 9)
     idem = axioms._eq("Idem", "x & x", "x")
@@ -157,13 +185,15 @@ def test_instance_trees_are_the_logic_trees(logic):
             continue
         names = sorted(variables_of(eq.lhs) | variables_of(eq.rhs))
         plan = axioms._Plan(logic, eq, names)
+        pool = axioms._leaves(logic.beta or ("a", "b", "c"), logic.allows_u)
         for _ in range(15):
-            atoms = logic.beta or ("a", "b", "c")
-            terms = {n: axioms._random_term(rng, atoms, logic.allows_u, 3) for n in names}
-            trees = [semantics.fe_u(terms[n]) for n in names]
+            terms = {n: axioms._random_term(rng, pool, 3) for n in names}
+            v = plan.load([semantics.fe_u(terms[n]) for n in names])
+            got = semantics.both_sides(logic, v[plan.lhs], v[plan.rhs], semantics.from_full, semantics.tree_atoms)
             l, r = instantiate(eq, terms)
             want = semantics.both_sides(logic, l, r, semantics.evaluate, syntax.alphabet)
-            assert plan.instance(trees) == want, (eq.name, terms)
+            assert got == want, (eq.name, terms)
+            assert plan.refute(v) == (None if want[0] is want[1] else want), (eq.name, terms)
     comm = axioms._eq("Comm", "x & y", "y & x")
     v = check_validity(logic, comm, Exhaustive(depth=2))
     if v.status == "counterexample":
@@ -207,3 +237,39 @@ def test_hoisted_checker_matches_the_per_instance_loop(logic, name):
         v = check_validity(logic, eq, strategy)
         got = (v.status, v.instances, v.assignment, v.left_tree, v.right_tree)
         assert got == _per_instance(logic, eq, strategy), eq.name
+
+
+def _draw(rng, atoms, allow_u, height):
+    """A term drawn as Random draws one, each leaf picked by its name."""
+    if height <= 1 or rng.random() < 0.3:
+        return P(rng.choice(list(atoms) + ["T", "F"] + (["U"] if allow_u else [])))
+    k = rng.randrange(3)
+    if k == 0:
+        return syntax.mk_not(_draw(rng, atoms, allow_u, height - 1))
+    l = _draw(rng, atoms, allow_u, height - 1)
+    r = _draw(rng, atoms, allow_u, height - 1)
+    return syntax.mk_and(l, r) if k == 1 else syntax.mk_or(l, r)
+
+
+def _per_sample(logic, eq, strategy):
+    """check_validity's Random verdict, each instance evaluated from its terms."""
+    names = sorted(variables_of(eq.lhs) | variables_of(eq.rhs))
+    rng = random.Random(strategy.seed)
+    for i in range(strategy.count):
+        assignment = {n: _draw(rng, strategy.atoms, logic.allows_u, strategy.height) for n in names}
+        l, r = instantiate(eq, assignment)
+        lt, rt = semantics.both_sides(logic, l, r, semantics.evaluate, syntax.alphabet)
+        if lt is not rt:
+            return ("counterexample", i + 1, assignment, lt, rt)
+    return ("valid-on-sample", strategy.count, None, None, None)
+
+
+@pytest.mark.parametrize("logic, name", list(_hoisted_cases()), ids=lambda x: str(x))
+def test_random_checker_matches_the_per_instance_loop(logic, name):
+    for strategy in (Random(100, 0), Random(60, 7, ("a", "b", "c"), 3)):
+        for eq in BUILTIN_SETS[name]:
+            if eq.signature == axioms.WITH_U and not logic.allows_u:
+                continue
+            v = check_validity(logic, eq, strategy)
+            got = (v.status, v.instances, v.assignment, v.left_tree, v.right_tree)
+            assert got == _per_sample(logic, eq, strategy), (eq.name, strategy)

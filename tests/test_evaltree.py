@@ -226,7 +226,7 @@ def _oracle_dot(t, lines, ids):
 def test_render_dot_matches_the_recursive_walk():
     rng = random.Random(16)
     for _ in range(300):
-        x = fe(axioms._random_term(rng, ("a", "b", "c"), False, 4))
+        x = fe(axioms._random_term(rng, axioms._leaves(("a", "b", "c"), False), 4))
         lines = ["digraph evaltree {"]
         _oracle_dot(x, lines, itertools.count())
         assert render(x, "dot") == "\n".join(lines + ["}"])

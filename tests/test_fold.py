@@ -185,13 +185,14 @@ def _recursion_error_sites():
 def test_recursion_error_is_caught_only_where_a_walk_still_recurses():
     # The CLI boundary; tree_from_json and render, around json's recursion
     # (and tree_from_json's walk); normalize_ffel, around the fnf algebra;
-    # evaluate, around fe_u and perfect_tree.
+    # evaluate, around perfect_tree; fe_u, around its _fe.
     assert _recursion_error_sites() == [
         ("cli", "invoke"),
         ("evaltree", "render"),
         ("evaltree", "tree_from_json"),
         ("fnf", "normalize_ffel"),
         ("semantics", "evaluate"),
+        ("semantics", "fe_u"),
     ]
 
 

@@ -287,7 +287,7 @@ def test_too_deep_input_raises_value_error_in_every_logic():
             evaluate(Logic(name), chain)
         with too_deep:
             equiv(Logic(name), chain, syntax.mk_atom("a"))
-    for one in (fe, mfe, clfe, lambda p: sfe(("a", "b"), p)):
+    for one in (fe_u, fe, mfe, clfe, lambda p: sfe(("a", "b"), p)):
         with too_deep:
             one(chain)
 
