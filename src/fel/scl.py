@@ -4,7 +4,8 @@ Short-circuit terms have their own connectives && and ||, which stop
 evaluating as soon as the outcome is fixed.  Full evaluation is
 expressible in them: the translation t below wraps each right operand so
 that it is always reached, and the translated term evaluates to the same
-tree (se(t(p)) = fe(p)).
+tree (se(t(p)) = fe(p)).  se is semantics' full evaluator over this
+module's classes, with the clauses of && and ||.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import NoReturn
 
 from . import semantics, syntax
-from .evaltree import EvalTree, FALSE, TRUE, node, subst
+from .evaltree import EvalTree, FALSE, TRUE, subst
 from .tables import fold
 
 
@@ -67,24 +68,13 @@ def sc_or(x: EvalTree, y: EvalTree) -> EvalTree:
     return subst(x, TRUE, y)
 
 
-# se's clauses for tables.fold.
-SE = {
-    ScAnd: lambda p, l, r: sc_and(l, r),
-    ScOr: lambda p, l, r: sc_or(l, r),
-    Not: lambda p, x: semantics.tree_not(x),
-    Atom: lambda p: node(p.name, TRUE, FALSE),
-    ConstT: lambda p: TRUE,
-    ConstF: lambda p: FALSE,
-}
+_se = semantics.evaluator("a short-circuit expression", Atom, ConstT, ConstF, Not,
+                          sc_and=ScAnd, sc_or=ScOr)
 
 
 def se(p: SclExpr) -> EvalTree:
-    """Short-circuit evaluation tree; not perfect in general.
-
-    Each distinct subterm is evaluated once: translate_t's terms use each
-    right operand twice.
-    """
-    return fold(p, SE, "a short-circuit expression")
+    """Short-circuit evaluation tree; not perfect in general."""
+    return semantics.tree_of(_se, p, {})
 
 
 def _no_u(p: syntax.Expr) -> NoReturn:

@@ -47,75 +47,87 @@ def tree_or(x: EvalTree, y: EvalTree) -> EvalTree:
     return subst(x, subst(y, TRUE, TRUE), y)
 
 
-# fe_open's clauses for tables.fold; memo_open's memorise each connective's tree.
-OPEN = {
-    syntax.FullAnd: lambda t, x, y: tree_and(x, y),
-    syntax.FullOr: lambda t, x, y: tree_or(x, y),
-    syntax.Not: lambda t, x: tree_not(x),
-    syntax.Atom: lambda t: node(t.name, TRUE, FALSE),
-    syntax.ConstT: lambda t: TRUE,
-    syntax.ConstF: lambda t: FALSE,
-    syntax.ConstU: lambda t: UNDEF,
-}
-MEMO_OPEN = {
-    **OPEN,
-    syntax.FullAnd: lambda t, x, y: memo(tree_and(x, y)),
-    syntax.FullOr: lambda t, x, y: memo(tree_or(x, y)),
-    syntax.Not: lambda t, x: memo(tree_not(x)),
-}
+def evaluator(what, atom, const_t, const_f, negation, full_and=None, full_or=None,
+              sc_and=None, sc_or=None, const_u=None, var=None):
+    """The full evaluation map of the term language with these classes.
 
-
-def fe_open(t: syntax.Expr, env: dict[str, EvalTree]) -> EvalTree:
-    """The full evaluation tree of t, each variable's tree read from env."""
-    return fold(t, OPEN, "a closed expression", {syntax.Var(n): x for n, x in env.items()})
-
-
-def memo_open(t: syntax.Expr, env: dict[str, EvalTree]) -> EvalTree:
-    """memo(fe_open(t, env)), memorising each connective's tree so that every tree stays small."""
-    return fold(t, MEMO_OPEN, "a closed expression", {syntax.Var(n): x for n, x in env.items()})
-
-
-def fe_u(p: syntax.Expr) -> EvalTree:
-    """Full evaluation tree over three truth values.
-
-    Evaluated in continuation-passing style: _fe(p, kt, kf) is the tree of p
-    with kt at its T leaves and kf at its F leaves, so each connective's
-    clause passes its right operand's trees down as the left operand's
-    leaves, and no tree is substituted after it is built.  A left-deep
-    chain costs linear time, the recursion follows the term's depth, and
-    the memo lives for this call only.  A p nested past the interpreter's
-    recursion limit raises ValueError, as parse does.
+    _fe(p, kt, kf, done) is p's tree with kt at its T leaves and kf at its
+    F leaves, built in continuation-passing style with no substitution:
+    p & q is p under (q under (kt, kf), q under (kf, kf)), p | q is p under
+    (q under (kt, kt), q under (kt, kf)), p && q is p under (q under (kt,
+    kf), kf), p || q is p under (kt, q under (kt, kf)), !p is p under (kf,
+    kt), and a variable is its tree in done under (kt, kf).  A left operand
+    and the operand of ! are tail positions, where every (term, kt, kf)
+    has the same tree: _fe loops down them, recurses only into right
+    operands, and keeps the tree in done under the first connective's key
+    only.  Other classes raise TypeError.
     """
+
+    def _fe(p, kt, kf, done):
+        key = None
+        while True:
+            cls = type(p)
+            if cls is const_t:
+                r = kt
+                break
+            if cls is atom:
+                r = node(p.name, kt, kf)
+                break
+            if cls is const_f:
+                r = kf
+                break
+            if cls is negation:
+                p, kt, kf = p.operand, kf, kt
+                continue
+            if key is None:
+                key = (p, kt, kf)
+                r = done.get(key)
+                if r is not None:
+                    return r
+            if cls is full_and:
+                kt, kf = _fe(p.right, kt, kf, done), _fe(p.right, kf, kf, done)
+            elif cls is full_or:
+                kt, kf = _fe(p.right, kt, kt, done), _fe(p.right, kt, kf, done)
+            elif cls is sc_and:
+                kt = _fe(p.right, kt, kf, done)
+            elif cls is sc_or:
+                kf = _fe(p.right, kt, kf, done)
+            elif cls is const_u:
+                r = UNDEF
+                break
+            elif cls is var and p in done:
+                r = subst(done[p], kt, kf)
+                break
+            else:
+                raise TypeError(f"not {what}: {p!r}")
+            p = p.left
+        if key is not None:
+            done[key] = r
+        return r
+
+    return _fe
+
+
+_fe = evaluator("a closed expression", syntax.Atom, syntax.ConstT, syntax.ConstF, syntax.Not,
+                syntax.FullAnd, syntax.FullOr, const_u=syntax.ConstU, var=syntax.Var)
+
+
+def tree_of(fe, p, done: dict) -> EvalTree:
+    """fe(p, T, F, done), refusing a p nested too deeply to the right."""
     try:
-        return _fe(p, TRUE, FALSE, {})
+        return fe(p, TRUE, FALSE, done)
     except RecursionError:
         raise ValueError("input nested too deeply") from None
 
 
-def _fe(p: syntax.Expr, kt: EvalTree, kf: EvalTree, done: dict) -> EvalTree:
-    cls = type(p)
-    if cls is syntax.Atom:
-        return node(p.name, kt, kf)
-    if cls is syntax.Not:
-        return _fe(p.operand, kf, kt, done)
-    if cls is syntax.FullAnd or cls is syntax.FullOr:
-        key = (p, kt, kf)
-        r = done.get(key)
-        if r is None:
-            q = p.right
-            if cls is syntax.FullAnd:
-                r = _fe(p.left, _fe(q, kt, kf, done), _fe(q, kf, kf, done), done)
-            else:
-                r = _fe(p.left, _fe(q, kt, kt, done), _fe(q, kt, kf, done), done)
-            done[key] = r
-        return r
-    if cls is syntax.ConstT:
-        return kt
-    if cls is syntax.ConstF:
-        return kf
-    if cls is syntax.ConstU:
-        return UNDEF
-    raise TypeError(f"not a closed expression: {p!r}")
+def fe_open(t: syntax.Expr, env: dict[str, EvalTree]) -> EvalTree:
+    """The full evaluation tree of t, each variable's tree read from env."""
+    return tree_of(_fe, t, {syntax.Var(n): x for n, x in env.items()})
+
+
+def fe_u(p: syntax.Expr) -> EvalTree:
+    """Full evaluation tree over three truth values."""
+    return tree_of(_fe, p, {})
 
 
 # _prune's computed table: for each (atom, side), the fold clauses of that
@@ -363,35 +375,33 @@ def evaluate(logic: Logic, p: syntax.Expr, beta=None) -> EvalTree:
     The free logics build fe_u(p) and read whether p has U off its leftmost
     leaf: U aborts, so the tree of a term with U has only U leaves.  The
     others read p's atom order and the U test in one walk of p.  A U-free
-    p then takes the perfect tree over the logic's atom order; with U,
-    the memorised tree is the all-U chain over the atoms before the
-    leftmost U and the static tree is U, both without building fe_u(p),
-    which may be exponential.  fe_u and perfect_tree recurse once per
-    operator on a path of p, so a p nested past the interpreter's
-    recursion limit raises ValueError, as parse does, also where the
-    logic would refuse its U.
+    p then takes the perfect tree over the logic's atom order; with U, the
+    memorised tree is the all-U chain over the atoms before the leftmost U
+    and the static tree is U, both without building fe_u(p), which may be
+    exponential.  perfect_tree recurses once per operator on a path of p:
+    past the recursion limit it raises ValueError, as parse does.
     """
     if beta is not None:
         logic = Logic(logic.name, beta)  # ValueError unless the logic is sfel
     kind = logic.tree
-    try:
-        if kind is FREE:
-            t = fe_u(p)
-            if not logic.allows_u and spine(t)[1] is UNDEF:
-                raise ValueError(f"logic {logic} accepts only U-free expressions")
-            return t
-        atoms, has_u = syntax.atoms_until_u(p)
-        if has_u:
-            if not logic.allows_u:
-                raise ValueError(f"logic {logic} accepts only U-free expressions")
-            t = UNDEF
-            if kind is MEMO:
-                for a in reversed(atoms):
-                    t = node(a, t, t)
-            return t
+    if kind is FREE:
+        t = fe_u(p)
+        if not logic.allows_u and spine(t)[1] is UNDEF:
+            raise ValueError(f"logic {logic} accepts only U-free expressions")
+        return t
+    atoms, has_u = syntax.atoms_until_u(p)
+    if has_u:
+        if not logic.allows_u:
+            raise ValueError(f"logic {logic} accepts only U-free expressions")
+        t = UNDEF
         if kind is MEMO:
-            return perfect_tree(atoms, p)
-        return perfect_tree(_static_order(logic, beta, atoms), p)
+            for a in reversed(atoms):
+                t = node(a, t, t)
+        return t
+    if kind is not MEMO:
+        atoms = _static_order(logic, beta, atoms)
+    try:
+        return perfect_tree(atoms, p)
     except RecursionError:
         raise ValueError("input nested too deeply") from None
 

@@ -131,12 +131,11 @@ class ParseError(ValueError):
 
 
 # The '(' and '!' open at once that parse accepts.  Each '!' adds a level
-# to the term, and this count bounds those levels.  A '(' adds none, since
-# '((a))' is a, and a '&' or '|' chain of any length still parses.  The
-# walks downstream are loops (tables.fold), subst and memo included, save
-# evaluate's (fe_u, perfect_tree) and normalize_ffel's fnf algebra, which
-# recurse and turn RecursionError into this ValueError themselves (fnf's
-# normalize_ffelu through evaluate).  '(' is counted only so that
+# to the term, and this count bounds those levels for perfect_tree and the
+# fnf algebra, which recurse and turn RecursionError into this ValueError
+# themselves; the other walks, the full evaluator under fe_u among them,
+# loop down a run of '!'.  A '(' adds no level, since '((a))' is a, and a
+# '&' or '|' chain of any length still parses.  '(' is counted only so that
 # parentheses nested past the bound stay refused: perfbench/worker.py's
 # check_answer still fails on an answered 'deep' request.
 MAX_NESTING = 500

@@ -206,7 +206,11 @@ def _per_instance(logic, eq, strategy):
     """check_validity's Exhaustive verdict, one instance at a time."""
     names = sorted(variables_of(eq.lhs) | variables_of(eq.rhs))
     reps = axioms._classes(logic, strategy.atoms, strategy.depth, logic.allows_u)
-    walk = semantics.fe_open if logic.tree is semantics.FREE else semantics.memo_open
+
+    def walk(t, trees):
+        x = semantics.fe_open(t, trees)
+        return x if logic.tree is semantics.FREE else semantics.memo(x)
+
     checked = 0
     for combo in itertools.product(reps, repeat=len(names)):
         trees = {n: c[1] for n, c in zip(names, combo)}

@@ -42,7 +42,9 @@ def test_parse_error_exits_2():
 
 
 def test_too_deep_input_exits_2():
-    for args in (("parse", "!" * 3000 + "a"), ("equiv", " & ".join(["a"] * 1500), "a")):
+    # mfel's perfect tree recurses once per operator of the chain.
+    chain = " & ".join(["a"] * 1500)
+    for args in (("parse", "!" * 3000 + "a"), ("equiv", "--logic", "mfel", chain, "a")):
         r = run(*args)
         assert r.exit_code == 2
         assert "error: input nested too deeply" in r.output
@@ -221,6 +223,15 @@ def test_translate_and_bridge():
     assert r.output.strip() == "ok"
     r = run("bridge-check", "U")
     assert r.exit_code == 2
+
+
+def test_bridge_check_of_a_long_disjunction():
+    # se and fe each evaluate the 600 atoms in linear time.
+    start = time.perf_counter()
+    r = run("bridge-check", " | ".join(f"a{i}" for i in range(600)))
+    assert r.exit_code == 0
+    assert r.output.strip() == "ok"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_rejects_repeated_atom():

@@ -111,13 +111,12 @@ def test_normalizer_restates_idempotently():
 def test_normalizers_and_classify_answer_on_deep_input():
     # classify and normalize_ffel are folds over the term (tables.fold),
     # and each step of the fnf algebra meets its operands' forms already
-    # built, so a chain past the recursion limit answers.  fe_u still
-    # recurses along the term: normalize_ffelu of the chain with U refuses.
+    # built, so a chain past the recursion limit answers.  fe_u loops down
+    # the chain, so normalize_ffelu of the chain with U answers too.
     chain = P(" & ".join(["deep_a"] * 1200))
     with_u = syntax.mk_and(chain, syntax.UNDEF)
     assert classify(chain) is FnfCategory.NOT_FNF
     nf = P("T & (deep_a & T" + " & (deep_a & T)" * 1199 + ")")
     assert normalize_ffel(chain) is nf
     assert normalize_ffelu(chain) is nf
-    with pytest.raises(ValueError, match="input nested too deeply"):
-        normalize_ffelu(with_u)
+    assert normalize_ffelu(with_u) is u_sigma(("deep_a",) * 1200)

@@ -3,10 +3,10 @@
 Every syntactic map over terms and trees is a fold, the hot substitution
 and memorisation too (subst, memo, la, ra), the leaf walk under atoms_of
 and contains_u, and the compiler of the finite models' cell reads; save
-fe_u's evaluation, the perfect tree's apply and the fnf algebra: one
-explicit-stack loop over the distinct subterms.  So it answers at any
-depth, where a recursive walk raised RecursionError, and it names what
-it expected when given a foreign class.  The functions of fel that still
+the full evaluator under fe_u, fe_open and se, the perfect tree's apply
+and the fnf algebra: one explicit-stack loop over the distinct subterms.
+So it answers at any depth, where a recursive walk raised RecursionError,
+and it names what it expected when given a foreign class.  The functions of fel that still
 call themselves are pinned below, as are the RecursionError handlers.
 """
 
@@ -57,7 +57,7 @@ ON_TERMS = {
     "nnf": lambda e: syntax.nnf(syntax.mk_not(syntax.mk_not(e))) is e,
     "dual": lambda e: syntax.dual(e) is not e and syntax.dual(syntax.dual(e)) is e,
     "translate_t": lambda e: scl.translate_t(e).right is scl.translate_t(e.right),
-    "memo_open": lambda e: semantics.memo_open(e, {}) is node("a", TRUE, FALSE),
+    "memo, fe_open": lambda e: semantics.memo(semantics.fe_open(e, {})) is node("a", TRUE, FALSE),
     "classify": lambda e: fnf.classify(e) is FnfCategory.NOT_FNF,
     "variables_of": lambda e: axioms.variables_of(e) == set(),
     "axioms._to_open": lambda e: axioms._to_open(e) is e,
@@ -185,14 +185,14 @@ def _recursion_error_sites():
 def test_recursion_error_is_caught_only_where_a_walk_still_recurses():
     # The CLI boundary; tree_from_json and render, around json's recursion
     # (and tree_from_json's walk); normalize_ffel, around the fnf algebra;
-    # evaluate, around perfect_tree; fe_u, around its _fe.
+    # evaluate, around perfect_tree; tree_of, around the full evaluator.
     assert _recursion_error_sites() == [
         ("cli", "invoke"),
         ("evaltree", "render"),
         ("evaltree", "tree_from_json"),
         ("fnf", "normalize_ffel"),
         ("semantics", "evaluate"),
-        ("semantics", "fe_u"),
+        ("semantics", "tree_of"),
     ]
 
 

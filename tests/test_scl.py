@@ -108,10 +108,9 @@ def test_bridge_check_of_a_deep_right_nested_chain():
 
 
 def test_translate_t_answers_on_deep_input():
-    # translate_t and se are folds (tables.fold).  fe recurses along the
-    # term and refuses the chain, so fe_open, the same fold's evaluation
-    # clauses, is the tree to compare with.
+    # translate_t is a fold (tables.fold), and se loops down the left
+    # operands as fe does, so both answer the chain.
     chain = syntax.parse(" & ".join(["a"] * 1200))
     t = translate_t(chain)
     assert t.right is Atom("a") and t.left.left is translate_t(chain.left)
-    assert se(t) is semantics.fe_open(chain, {})
+    assert se(t) is semantics.fe(chain)

@@ -1,16 +1,18 @@
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fel import axioms, evaltree, syntax
-from fel.evaltree import FALSE, HOLE, HOLE1, TRUE, UNDEF, Leaf, depth, leaf_kinds, node, subst
+from fel import axioms, evaltree, scl, syntax
+from fel.evaltree import FALSE, HOLE, HOLE1, TRUE, UNDEF, Leaf, depth, leaf_kinds, node, spine, subst
 from fel.semantics import (
     CLFEL,
     CLFEL2,
     FFEL,
     FFELU,
+    FREE,
     LOGICS,
     Logic,
     MFEL,
@@ -28,14 +30,16 @@ from fel.semantics import (
     la,
     logic_by_name,
     memo,
-    memo_open,
     mfe,
     mfe_u,
     ra,
     sfe,
     sfe_tree,
+    tree_and,
+    tree_not,
     tree_or,
 )
+from fel.tables import fold
 
 from test_evaltree import replace_leaves
 from test_syntax import exprs
@@ -200,7 +204,9 @@ def test_mfe_perfect_over_str_of(e):
 
 @given(exprs(allow_u=True))
 def test_memo_open_is_memo_of_the_full_tree(e):
-    assert memo_open(e, {}) is memo(fe_u(e))
+    # Memorising every connective's tree, as the axiom checker's plan does,
+    # gives the memorised full tree.
+    assert _composed(e, MEMO_COMPOSE, {}) is memo(fe_u(e))
 
 
 def test_memo_rejects_placeholders():
@@ -276,20 +282,74 @@ def test_logic_by_name():
 
 
 def test_too_deep_input_raises_value_error_in_every_logic():
-    # evaluate recurses once per operator of a left-deep chain; a chain
-    # longer than the recursion limit is a typed error, as in parse
-    chain = syntax.mk_atom("a")
+    # The full evaluator loops down a left-deep chain, so the free logics
+    # answer it; perfect_tree recurses once per operator of the chain, so
+    # the others refuse it with a typed error, as parse does.
+    chain, labels = syntax.mk_atom("a"), ["a"]
     for i in range(sys.getrecursionlimit() + 300):
         chain = syntax.mk_and(chain, syntax.mk_atom("ab"[i % 2]))
+        labels.append("ab"[i % 2])
     too_deep = pytest.raises(ValueError, match="input nested too deeply")
     for name in LOGICS:
+        if LOGICS[name][0] is FREE:
+            assert spine(evaluate(Logic(name), chain)) == (tuple(labels), TRUE)
+            assert not equiv(Logic(name), chain, syntax.mk_atom("a"))
+            continue
         with too_deep:
             evaluate(Logic(name), chain)
         with too_deep:
             equiv(Logic(name), chain, syntax.mk_atom("a"))
-    for one in (fe_u, fe, mfe, clfe, lambda p: sfe(("a", "b"), p)):
+    for one in (mfe, clfe, lambda p: sfe(("a", "b"), p)):
         with too_deep:
             one(chain)
+    # The evaluator recurses into right operands: a right-nested chain
+    # past the limit is refused.
+    right = syntax.mk_atom("a")
+    for i in range(sys.getrecursionlimit() + 300):
+        right = syntax.mk_and(syntax.mk_atom("ab"[i % 2]), right)
+    for one in (fe_u, fe, lambda p: fe_open(p, {}), lambda p: scl.se(scl.translate_t(p))):
+        with too_deep:
+            one(right)
+
+
+def _not_chain(n):
+    e = syntax.mk_atom("a")
+    for _ in range(n):
+        e = syntax.mk_not(e)
+    return e
+
+
+def test_the_free_logics_answer_a_long_chain_and_a_run_of_negations():
+    # Left operands and the operand of ! are tail positions: the evaluator
+    # loops down them.
+    chain = P(" & ".join(["a"] * 1200))
+    nots = _not_chain(3000)
+    a = node("a", TRUE, FALSE)
+    assert fe_u(nots) is a and fe(nots) is a
+    assert spine(fe_u(chain)) == (("a",) * 1200, TRUE)
+    for p in (chain, nots):
+        for logic in (FFEL, FFELU):
+            assert evaluate(logic, p) is fe_u(p)
+        assert scl.bridge_check(p)
+
+
+def test_se_and_fe_open_of_a_long_disjunction_are_linear():
+    # Composing trees by substitution rebuilt the growing tree at each
+    # connective, which took 1-2 s on 600 atoms.
+    p = P(" | ".join(f"a{i}" for i in range(1200)))
+    start = time.perf_counter()
+    x = fe_open(p, {})
+    assert scl.se(scl.translate_t(p)) is x
+    assert time.perf_counter() - start < 1
+    assert depth(x) == 1200
+
+
+def test_an_unbound_variable_raises_type_error():
+    x, y = syntax.Var("x"), syntax.Var("y")
+    with pytest.raises(TypeError, match="^not a closed expression: <expr y>"):
+        fe_open(syntax.mk_and(x, y), {"x": TRUE})
+    with pytest.raises(TypeError, match="^not a closed expression: <expr x>"):
+        fe_u(syntax.mk_or(syntax.mk_atom("a"), x))
 
 
 def test_evaluate_u_gate():
@@ -332,6 +392,55 @@ def test_static_logics_take_multi_character_atoms():
         sfe(["a", "b"], p)
 
 
+# The composition that the evaluator replaced, kept as its oracle: a fold
+# in which each connective substitutes into its left operand's tree, and
+# a variable's tree comes from the fold's seed.
+COMPOSE = {
+    syntax.FullAnd: lambda t, x, y: tree_and(x, y),
+    syntax.FullOr: lambda t, x, y: tree_or(x, y),
+    syntax.Not: lambda t, x: tree_not(x),
+    syntax.Atom: lambda t: node(t.name, TRUE, FALSE),
+    syntax.ConstT: lambda t: TRUE,
+    syntax.ConstF: lambda t: FALSE,
+    syntax.ConstU: lambda t: UNDEF,
+    scl.ScAnd: lambda t, x, y: subst(x, y, FALSE),
+    scl.ScOr: lambda t, x, y: subst(x, TRUE, y),
+    scl.Not: lambda t, x: tree_not(x),
+    scl.Atom: lambda t: node(t.name, TRUE, FALSE),
+    scl.ConstT: lambda t: TRUE,
+    scl.ConstF: lambda t: FALSE,
+}
+# The same, memorising each connective's tree.
+MEMO_COMPOSE = {
+    **COMPOSE,
+    syntax.FullAnd: lambda t, x, y: memo(tree_and(x, y)),
+    syntax.FullOr: lambda t, x, y: memo(tree_or(x, y)),
+    syntax.Not: lambda t, x: memo(tree_not(x)),
+}
+
+
+def _composed(t, clauses, env):
+    return fold(t, clauses, "a term", {syntax.Var(n): x for n, x in env.items()})
+
+
+def test_the_evaluator_is_the_composition_exhaustively():
+    # fe_u, fe_open with variables bound and se of the translation, all one
+    # evaluator, against the fold that composes trees.
+    envs = [
+        {"x": fe_u(P(x)), "y": fe_u(P(y))}
+        for x, y in (("a", "b"), ("a & !b", "b | a"), ("U", "a | b"), ("b & U", "T"))
+    ]
+    for p in axioms._universe(("a", "b"), 3, True):
+        assert fe_u(p) is _composed(p, COMPOSE, {})
+        if not syntax.contains_u(p):
+            t = scl.translate_t(p)
+            assert scl.se(t) is _composed(t, COMPOSE, {})
+    for p in axioms._universe(("x", "y"), 3, True):
+        t = axioms._to_open(p)
+        for env in envs:
+            assert fe_open(t, env) is _composed(t, COMPOSE, env)
+
+
 def _assert_oracles(p, beta):
     """The paper's definitions: mfe, clfe, sfe and mfe_u through memo(fe(p))."""
     x = fe(p)
@@ -348,7 +457,6 @@ def test_every_logic_is_its_definition_exhaustively():
     logics = [logic_by_name(name) for name in LOGICS] + [SFEL(("b", "c", "a"))]
     for p in axioms._universe(("a", "b"), 3, True):
         x, has_u = fe_u(p), syntax.contains_u(p)
-        assert x is fe_open(p, {})  # continuation passing against composition
         assert leaf_kinds(x) == {"U"} if has_u else "U" not in leaf_kinds(x)
         for logic in logics:
             if logic.allows_u or not has_u:
